@@ -11,12 +11,7 @@ from .arith import (
     GuardedDecimal,
     IntPolynomial,
     NumberField,
-    Rational,
     RealValue,
-    nf_invert,
-    nf_mul,
-    real_compare,
-    real_floor,
     refine_root,
 )
 from .closedform import (
@@ -55,12 +50,7 @@ __all__ = [
     "GuardedDecimal",
     "IntPolynomial",
     "NumberField",
-    "Rational",
     "RealValue",
-    "nf_invert",
-    "nf_mul",
-    "real_compare",
-    "real_floor",
     "refine_root",
     "CubicCandidate",
     "allones_poly",

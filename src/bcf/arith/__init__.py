@@ -1,39 +1,25 @@
-"""Exact arithmetic backends: rationals, algebraic number fields, guarded decimals."""
+"""Exact arithmetic backends: rationals, algebraic number fields, guarded decimals.
 
-from fractions import Fraction as Rational
+All three value types answer ``math.floor(x)``, ``x - n``, ``x == 0``,
+``1 / x`` and ``x * y`` (for ``y`` of the same type), which is all the
+expansion loop asks of them.
+"""
+
+from fractions import Fraction
+from typing import Union
 
 from .guarded import GuardedDecimal
-from .numberfield import FieldElement, NumberField, nf_invert, nf_mul
+from .numberfield import FieldElement, NumberField
 from .polynomials import IntPolynomial, eval_interval, refine_root
-from .realvalue import (
-    RealValue,
-    backend_key,
-    is_exact,
-    real_compare,
-    real_div,
-    real_floor,
-    real_is_zero,
-    real_recip,
-    real_sub_int,
-)
+
+RealValue = Union[Fraction, FieldElement, GuardedDecimal]
 
 __all__ = [
-    "Rational",
     "GuardedDecimal",
     "FieldElement",
     "NumberField",
-    "nf_invert",
-    "nf_mul",
     "IntPolynomial",
     "eval_interval",
     "refine_root",
     "RealValue",
-    "backend_key",
-    "is_exact",
-    "real_compare",
-    "real_div",
-    "real_floor",
-    "real_is_zero",
-    "real_recip",
-    "real_sub_int",
 ]

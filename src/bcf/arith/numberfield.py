@@ -226,7 +226,8 @@ class FieldElement:
 
     def __rtruediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.inverse() * other
+            inv = self.inverse()
+            return inv if other == 1 else inv * other
         return NotImplemented
 
     # -- order decisions -----------------------------------------------------
@@ -284,6 +285,8 @@ class FieldElement:
             lo, hi = bisect_once(self.field.modulus, lo, hi)
         raise NonIsolatingInterval("floor refinement failed to converge")
 
+    __floor__ = floor
+
     def _vanishes_at_root(self, lo: Fraction, hi: Fraction) -> bool:
         # value == 0 iff theta is a common root of the residue and the
         # modulus, i.e. gcd has a sign change inside the isolating interval.
@@ -320,10 +323,3 @@ def _reduce_mod(prod: Sequence[Fraction], modulus: IntPolynomial) -> tuple[Fract
     rem += [Fraction(0)] * (d - len(rem))
     return tuple(rem)
 
-
-def nf_mul(x: FieldElement, y: FieldElement) -> FieldElement:
-    return x * y
-
-
-def nf_invert(x: FieldElement) -> FieldElement:
-    return x.inverse()

@@ -27,7 +27,7 @@ class IntPolynomial:
         for c in self.coeffs:
             if not isinstance(c, int):
                 raise TypeError(f"integer coefficients required, got {c!r}")
-        trimmed = _trim_int(self.coeffs)
+        trimmed = qp_trim(self.coeffs)
         if trimmed != self.coeffs:
             object.__setattr__(self, "coeffs", trimmed)
 
@@ -83,13 +83,6 @@ class IntPolynomial:
 
     def __str__(self) -> str:
         return self.pretty()
-
-
-def _trim_int(coeffs: Sequence[int]) -> tuple[int, ...]:
-    n = len(coeffs)
-    while n and coeffs[n - 1] == 0:
-        n -= 1
-    return tuple(coeffs[:n])
 
 
 def eval_interval(coeffs: Sequence, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
@@ -192,12 +185,6 @@ def qp_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]
     return qp_trim(out)
 
 
-def qp_scale(a: Sequence[Fraction], s: Fraction) -> tuple[Fraction, ...]:
-    if s == 0:
-        return ()
-    return qp_trim([ai * s for ai in a])
-
-
 def qp_divmod(a: Sequence[Fraction], b: Sequence[Fraction]):
     b = qp_trim(b)
     if not b:
@@ -228,11 +215,6 @@ def qp_ext_gcd(a: Sequence[Fraction], b: Sequence[Fraction]):
         old_u, u = u, qp_sub(old_u, qp_mul(q, u))
         old_v, v = v, qp_sub(old_v, qp_mul(q, v))
     return old_r, old_u, old_v
-
-
-def qp_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    g, _, _ = qp_ext_gcd(a, b)
-    return g
 
 
 def qp_primitive_int(coeffs: Sequence[Fraction]) -> IntPolynomial:

@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .arith import GuardedDecimal, is_exact
+from .arith import GuardedDecimal
 from .closedform import allones_poly, alpha_cubic, beta_cubic, cubic_hunt
 from .errors import (
     AlgebraError,
@@ -290,7 +290,7 @@ def cmd_period(args):
     if args.depth < 1:
         raise ParseError("--depth must be >= 1")
     exp = expand(values, args.depth)
-    if all(is_exact(v) for v in values):
+    if exp.states is not None:
         report = detect_period(exp)
     else:
         report = apparent_digit_period(exp.digits)

@@ -16,18 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import floor
 from typing import Sequence
 
-from .arith.realvalue import (
-    RealValue,
-    backend_key,
-    is_exact,
-    real_div,
-    real_floor,
-    real_is_zero,
-    real_recip,
-    real_sub_int,
-)
+from .arith import FieldElement, GuardedDecimal, RealValue
 from .errors import MixedFields, NegativeInput
 
 
@@ -73,19 +65,21 @@ class Expansion:
 def expand_step(state: ExpansionState) -> tuple[tuple[int, ...], ExpansionState | None]:
     """One expansion step: the digit tuple and the next state (None on
     exact termination)."""
-    digits = tuple(real_floor(v) for v in state.values)
+    digits = tuple(floor(v) for v in state.values)
     for k, d in enumerate(digits):
         if d < 0:
             raise NegativeInput(
                 f"component {k + 1} at step {state.step} has negative floor {d}; "
                 "only non-negative reals are expandable"
             )
-    fracs = tuple(real_sub_int(v, d) for v, d in zip(state.values, digits))
+    fracs = tuple(v - d for v, d in zip(state.values, digits))
     last = fracs[-1]
-    if real_is_zero(last):
+    # A guarded value is never == 0; when its band reaches zero, 1 / last
+    # refuses with AmbiguousFloor instead.
+    if last == 0:
         return digits, None
-    inv = real_recip(last)
-    next_values = (inv,) + tuple(real_div(f, last) for f in fracs[:-1])
+    inv = 1 / last
+    next_values = (inv,) + tuple(f * inv for f in fracs[:-1])
     return digits, ExpansionState(next_values, state.step + 1)
 
 
@@ -96,13 +90,13 @@ def expand(values: Sequence[RealValue | int], max_depth: int) -> Expansion:
     vals = tuple(Fraction(v) if isinstance(v, int) else v for v in values)
     if not vals:
         raise ValueError("at least one value required")
-    keys = {backend_key(v) for v in vals}
+    keys = {_backend_key(v) for v in vals}
     if len(keys) > 1:
         raise MixedFields(
             "all expansion inputs must share one backend (and one field); got "
             + ", ".join(sorted(str(k) for k in keys))
         )
-    exact = all(is_exact(v) for v in vals)
+    exact = not isinstance(vals[0], GuardedDecimal)
 
     m = len(vals)
     sequences: list[list[int]] = [[] for _ in range(m)]
@@ -132,3 +126,14 @@ def expand(values: Sequence[RealValue | int], max_depth: int) -> Expansion:
         terminated_at=terminated_at,
         states=tuple(states) if exact else None,
     )
+
+
+def _backend_key(x: RealValue):
+    """Hashable token identifying the backend (and field) of a value."""
+    if isinstance(x, Fraction):
+        return "rational"
+    if isinstance(x, FieldElement):
+        return ("field", x.field)
+    if isinstance(x, GuardedDecimal):
+        return "guarded"
+    raise TypeError(f"not a real value: {x!r}")

@@ -79,10 +79,13 @@ def apparent_digit_period(digits: tuple[tuple[int, ...], ...]) -> PeriodReport:
     if not digits:
         return PeriodReport(NONE_WITHIN_DEPTH, 0, 0, None)
     n = len(digits[0])
+    columns = list(zip(*digits))
     for q in range(1, n // 2 + 1):
-        for p in range(0, n - 2 * q + 1):
-            if all(
-                seq[t] == seq[t + q] for seq in digits for t in range(p, n - q)
-            ):
-                return PeriodReport(APPARENT, preperiod=p, period=q, witness=None)
+        # The preperiods that work for q are all p past the last mismatch,
+        # so scanning back to it finds the smallest one.
+        p = n - q
+        while p > 0 and columns[p - 1] == columns[p - 1 + q]:
+            p -= 1
+        if p <= n - 2 * q:
+            return PeriodReport(APPARENT, preperiod=p, period=q, witness=None)
     return PeriodReport(NONE_WITHIN_DEPTH, 0, 0, None)

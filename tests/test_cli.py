@@ -230,6 +230,15 @@ def test_exit_3_on_ambiguous_floor(capsys):
     assert "digit" in err
 
 
+def test_exit_3_on_moore_pair_at_order_2(capsys):
+    code, _, err = run_cli(
+        capsys,
+        ["expand", "dec:1.4655712318,guard=2", "dec:0.6823278038,guard=2", "--depth", "200"],
+    )
+    assert code == 3
+    assert "digit" in err
+
+
 def test_exit_4_on_mixed_fields(capsys):
     code, _, err = run_cli(
         capsys,

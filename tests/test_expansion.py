@@ -148,6 +148,55 @@ def test_guarded_backend_expands_then_refuses():
         expand([GuardedDecimal.from_literal("1.83928675521416", guard_digits=2)], 12)
 
 
+BACKENDS = {
+    "rational": (Fraction, lambda x: (x, x)),
+    "field": (lambda q: TRIB.element([q]), lambda x: x.interval(Fraction(1, 10**40))),
+    "guarded": (lambda q: GuardedDecimal(q, Fraction(1, 10**40)), GuardedDecimal.bounds),
+}
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_backends_answer_the_expansion_operators_alike(backend):
+    make, bounds = BACKENDS[backend]
+
+    def agrees(value, exact):
+        lo, hi = bounds(value)
+        return lo <= exact <= hi and hi - lo < Fraction(1, 10**30)
+
+    values = [Fraction(7, 3), Fraction(5, 2), Fraction(1, 7), Fraction(22, 7)]
+    for q, r in zip(values, values[1:]):
+        x, y = make(q), make(r)
+        n = math.floor(q)
+        assert math.floor(x) == n
+        assert agrees(x - n, q - n)
+        assert (x - n == 0) is False
+        assert agrees(1 / x, 1 / q)
+        assert agrees(x * y, q * r)
+    if backend != "guarded":
+        assert make(Fraction(3)) - 3 == 0
+
+
+def test_guarded_order2_refuses_when_fraction_band_reaches_zero():
+    # floor(x2) = 2 is certain, but the band of x2 - 2 is [0, 2/10^4]
+    x1 = GuardedDecimal.from_literal("1.5000", guard_digits=1)
+    x2 = GuardedDecimal(Fraction(20001, 10**4), Fraction(1, 10**4))
+    with pytest.raises(AmbiguousFloor):
+        expand_step(ExpansionState((x1, x2), 0))
+
+
+def test_guarded_order2_certifies_moore_prefix_then_refuses():
+    alpha = GuardedDecimal.from_literal("1.46557123187676802665", guard_digits=2)
+    beta = GuardedDecimal.from_literal("0.68232780382801932737", guard_digits=2)
+    exact = expand([MOORE.theta(), MOORE.theta().inverse()], 60)
+    state, steps = ExpansionState((alpha, beta), 0), 0
+    with pytest.raises(AmbiguousFloor):
+        while True:
+            digits, state = expand_step(state)
+            assert digits == tuple(seq[steps] for seq in exact.digits)
+            steps += 1
+    assert steps >= 40
+
+
 def test_depth_cap_is_not_an_error():
     e = expand([TRIB.theta()], 3)
     assert len(e) == 3

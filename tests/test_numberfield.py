@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from bcf.arith import IntPolynomial, NumberField, nf_invert, nf_mul
+from bcf.arith import IntPolynomial, NumberField
 from bcf.errors import (
     MixedFields,
     NonIsolatingInterval,
@@ -36,55 +36,55 @@ def test_construction_rejects_signless_interval():
 
 def test_mul_theta_squared_is_two():
     th = SQRT2.theta()
-    assert nf_mul(th, th).coords == (frac(2), frac(0))
+    assert (th * th).coords == (frac(2), frac(0))
 
 
 def test_mul_reduces_by_tribonacci_modulus():
     th = TRIB.theta()
-    assert nf_mul(th, th * th).coords == (frac(1), frac(1), frac(1))
+    assert (th * (th * th)).coords == (frac(1), frac(1), frac(1))
 
 
 def test_mul_difference_of_squares():
     th = SQRT2.theta()
-    assert nf_mul(1 + th, 1 - th).coords == (frac(-1), frac(0))
+    assert ((1 + th) * (1 - th)).coords == (frac(-1), frac(0))
 
 
 def test_invert_sqrt2():
     th = SQRT2.theta()
-    assert nf_invert(th).coords == (frac(0), frac(1, 2))
+    assert th.inverse().coords == (frac(0), frac(1, 2))
 
 
 def test_invert_rational_residue():
     x = TRIB.element([3])
-    assert nf_invert(x).coords == (frac(1, 3), frac(0), frac(0))
+    assert x.inverse().coords == (frac(1, 3), frac(0), frac(0))
 
 
 def test_invert_golden_shift():
     th = GOLDEN.theta()
-    inv = nf_invert(th - 1)
-    assert nf_mul(th - 1, inv) == GOLDEN.one()
+    inv = (th - 1).inverse()
+    assert (th - 1) * inv == GOLDEN.one()
     assert inv == th  # (theta - 1) * theta == theta^2 - theta == 1
 
 
 def test_invert_zero_raises():
     with pytest.raises(ZeroInverse):
-        nf_invert(TRIB.zero())
+        TRIB.zero().inverse()
 
 
 def test_reducible_modulus_surfaces_factor():
     field = NumberField(IntPolynomial((-1, 0, 1)), frac(1, 2), frac(3, 2))
     x = field.theta() - 1
     with pytest.raises(ReducibleModulus) as exc:
-        nf_invert(x)
+        x.inverse()
     assert exc.value.factor.coeffs == (-1, 1)
 
 
 def test_mixed_fields_rejected():
     with pytest.raises(MixedFields):
-        nf_mul(SQRT2.theta(), TRIB.theta())
+        SQRT2.theta() * TRIB.theta()
     other_interval = NumberField(IntPolynomial((-2, 0, 1)), 0, 2)
     with pytest.raises(MixedFields):
-        nf_mul(SQRT2.theta(), other_interval.theta())
+        SQRT2.theta() * other_interval.theta()
 
 
 def test_inverse_roundtrip_random_elements():
@@ -94,7 +94,7 @@ def test_inverse_roundtrip_random_elements():
         x = TRIB.element(coords)
         if x.is_zero():
             continue
-        assert nf_mul(x, nf_invert(x)) == TRIB.one()
+        assert x * x.inverse() == TRIB.one()
 
 
 def test_floor_examples():
@@ -138,7 +138,7 @@ def test_field_arithmetic_matches_interval_products():
     for _ in range(15):
         x = TRIB.element([frac(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(3)])
         y = TRIB.element([frac(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(3)])
-        z = nf_mul(x, y)
+        z = x * y
         xl, xh = x.interval(w)
         yl, yh = y.interval(w)
         zl, zh = z.interval(w)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -96,3 +97,27 @@ def test_apparent_scan_on_digits():
 def test_apparent_scan_requires_two_cycles():
     digits = ((1, 2, 3, 4, 5, 6),)
     assert apparent_digit_period(digits).status == NONE_WITHIN_DEPTH
+
+
+def slow_apparent_period(digits):
+    """Reference scan: every (q, p) pair in order, checking the whole suffix."""
+    n = len(digits[0])
+    for q in range(1, n // 2 + 1):
+        for p in range(0, n - 2 * q + 1):
+            if all(seq[t] == seq[t + q] for seq in digits for t in range(p, n - q)):
+                return (APPARENT, p, q)
+    return (NONE_WITHIN_DEPTH, 0, 0)
+
+
+def test_apparent_scan_matches_reference_on_random_tables():
+    rng = random.Random(5)
+    for _ in range(1500):
+        m, n = rng.randint(1, 3), rng.randint(0, 24)
+        cycle = [[rng.randint(0, 2) for _ in range(rng.randint(1, 5))] for _ in range(m)]
+        head = rng.randint(0, n)
+        digits = tuple(
+            tuple(rng.randint(0, 2) if t < head else c[t % len(c)] for t in range(n))
+            for c in cycle
+        )
+        r = apparent_digit_period(digits)
+        assert (r.status, r.preperiod, r.period) == slow_apparent_period(digits), digits
