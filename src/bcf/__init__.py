@@ -25,9 +25,9 @@ from .closedform import (
 )
 from .evaluation import (
     DigitSpec,
-    backward_values,
     convergent,
     convergent_table,
+    convergents,
     reconstruct,
     render_tree,
     unroll,
@@ -40,6 +40,7 @@ from .periodicity import (
     PeriodReport,
     apparent_digit_period,
     detect_period,
+    period_report,
 )
 from .sequences import kbonacci, ratio_limit
 
@@ -60,9 +61,9 @@ __all__ = [
     "cubic_hunt",
     "verify_root",
     "DigitSpec",
-    "backward_values",
     "convergent",
     "convergent_table",
+    "convergents",
     "reconstruct",
     "render_tree",
     "unroll",
@@ -76,6 +77,7 @@ __all__ = [
     "PeriodReport",
     "apparent_digit_period",
     "detect_period",
+    "period_report",
     "kbonacci",
     "ratio_limit",
     "__version__",

@@ -30,6 +30,7 @@ from .polynomials import (
     qp_ext_gcd,
     qp_primitive_int,
     qp_trim,
+    root_count,
 )
 
 _MAX_REFINE = 100_000
@@ -52,6 +53,11 @@ class NumberField:
         if modulus.sign_at(lo) * modulus.sign_at(hi) >= 0:
             raise NonIsolatingInterval(
                 f"{modulus.pretty()} has no sign change on [{lo}, {hi}]"
+            )
+        roots = root_count(modulus, lo, hi)
+        if roots != 1:
+            raise NonIsolatingInterval(
+                f"{modulus.pretty()} has {roots} distinct real roots in ({lo}, {hi})"
             )
         self.modulus = modulus
         self.root_interval = (lo, hi)
@@ -111,11 +117,6 @@ class FieldElement:
 
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coords[1:])
-
-    def to_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self!r} is not rational")
-        return self.coords[0]
 
     def __eq__(self, other) -> bool:
         if isinstance(other, FieldElement):

@@ -48,17 +48,11 @@ class IntPolynomial:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def __call__(self, x) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return qp_eval(self.coeffs, x)
 
     def sign_at(self, x) -> int:
         v = self(x)
         return (v > 0) - (v < 0)
-
-    def eval_interval(self, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-        return eval_interval(self.coeffs, lo, hi)
 
     def pretty(self, var: str = "x") -> str:
         if self.is_zero:
@@ -149,6 +143,20 @@ def refine_root(
     return lo, hi
 
 
+def root_count(poly: IntPolynomial, lo: Fraction, hi: Fraction) -> int:
+    """Distinct real roots of ``poly`` in (lo, hi], by Sturm's theorem."""
+    chain = [tuple(map(Fraction, poly.coeffs))]
+    chain.append(tuple(k * c for k, c in enumerate(chain[0]))[1:])
+    while chain[-1]:
+        chain.append(tuple(-c for c in qp_divmod(chain[-2], chain[-1])[1]))
+
+    def variations(x: Fraction) -> int:
+        signs = [v > 0 for v in (qp_eval(p, x) for p in chain) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return variations(lo) - variations(hi)
+
+
 # Rational-coefficient polynomial helpers (ascending tuples of Fractions).
 # These back the number-field arithmetic; they are not a public surface.
 
@@ -157,6 +165,13 @@ def qp_trim(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
     while n and coeffs[n - 1] == 0:
         n -= 1
     return tuple(coeffs[:n])
+
+
+def qp_eval(coeffs: Sequence, x) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def qp_deg(coeffs: Sequence[Fraction]) -> int:

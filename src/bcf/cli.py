@@ -36,7 +36,7 @@ from .formats import (
     parse_rational,
     parse_value_spec,
 )
-from .periodicity import PROVEN, apparent_digit_period, detect_period
+from .periodicity import PROVEN, period_report
 from .sequences import kbonacci
 
 DEFAULT_PLACES = 10
@@ -152,12 +152,7 @@ def cmd_expand(args):
     if args.depth < 1:
         raise ParseError("--depth must be >= 1")
     exp = expand(values, args.depth)
-    report = None
-    if args.period:
-        if exp.states is not None:
-            report = detect_period(exp)
-        else:
-            report = apparent_digit_period(exp.digits)
+    report = period_report(exp) if args.period else None
     spec = DigitSpec.from_expansion(exp, report)
     meta = {}
     if args.verbose:
@@ -290,10 +285,7 @@ def cmd_period(args):
     if args.depth < 1:
         raise ParseError("--depth must be >= 1")
     exp = expand(values, args.depth)
-    if exp.states is not None:
-        report = detect_period(exp)
-    else:
-        report = apparent_digit_period(exp.digits)
+    report = period_report(exp)
     if args.format == "json":
         payload = {"m": exp.order, "depth": len(exp)}
         payload.update(_period_payload(report))

@@ -81,10 +81,6 @@ class NoSignChange(AlgebraError):
     """Root refinement requires strictly opposite signs at the endpoints."""
 
 
-class ZeroTail(AlgebraError):
-    """Backward evaluation hit a zero first-sequence tail value."""
-
-
 class UnsupportedError(BcfError):
     pass
 

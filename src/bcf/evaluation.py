@@ -1,29 +1,25 @@
 """Reconstruction of numbers from digit sequences.
 
-Truncating at depth n assigns the bare digits as terminal values and runs
-the recovery recurrence backward:
-
-    x_m(i) = a_m(i) + 1 / x_1(i+1)
-    x_k(i) = a_k(i) + x_(k+1)(i+1) / x_1(i+1)      (k = m-1 .. 1)
-
-which is the algebraic inverse of the expansion step.  All convergents are
-exact rationals.  The order-2 case also renders as the two-branch tree
-where a-nodes split into (b_(i+1) over a_(i+1)) and b-nodes into
-(1 over a_(i+1)).
+One expansion step, inverted, is a projective map with a non-negative
+integer (m+1)x(m+1) matrix.  Truncating at depth n sets x(n) = a(n), so
+the depth-n convergent is a column of the product of the matrices of the
+digit tuples a(0)..a(n).  One more digit tuple turns the product's columns
+(c_0, c_1, ..., c_m) into (c_m, c_0 + sum_k a_k c_k, c_1, ..., c_(m-1)),
+and the new column (X_0, ..., X_m) is the convergent (X_1/X_0, ...,
+X_m/X_0); for m = 1 this is p_n = a_n p_(n-1) + p_(n-2).  X_0 >= 1 because
+first-sequence digits past index 0 are >= 1.  The order-2 case also
+renders as the two-branch tree where a-nodes split into (b_(i+1) over
+a_(i+1)) and b-nodes into (1 over a_(i+1)).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .errors import (
-    InsufficientDigits,
-    NoConvergence,
-    UnsupportedOrder,
-    ZeroTail,
-)
+from .errors import InsufficientDigits, NoConvergence, UnsupportedOrder
 from .expansion import Expansion
 from .periodicity import PROVEN, PeriodReport
 
@@ -76,6 +72,13 @@ class DigitSpec:
             return None
         return self.head_length - 1
 
+    def columns(self) -> Iterator[tuple[int, ...]]:
+        """Digit tuples (a_1(i), ..., a_m(i)) for i = 0, 1, ...: the head,
+        then the cycle repeated forever (nothing more without a cycle)."""
+        yield from zip(*self.head)
+        if self.cycle is not None:
+            yield from itertools.cycle(zip(*self.cycle))
+
     @classmethod
     def constant(cls, digits: Sequence[int]) -> "DigitSpec":
         """Cycle-only spec repeating one digit tuple forever."""
@@ -109,66 +112,45 @@ def _check_digits(seqs, label: str):
                 raise ValueError(f"{label} digits must be >= 0, got {d}")
 
 
-def unroll(spec: DigitSpec, depth: int) -> list[list[int]]:
-    """Digits of every sequence through index ``depth`` (depth+1 each)."""
+def _check_depth(spec: DigitSpec, depth: int):
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    need = depth + 1
-    if spec.cycle is None and need > spec.head_length:
+    if spec.max_depth is not None and depth > spec.max_depth:
         raise InsufficientDigits(
-            f"spec holds {spec.head_length} digits per sequence, need {need} "
+            f"spec holds {spec.head_length} digits per sequence, need {depth + 1} "
             "and no cycle is present"
         )
-    out: list[list[int]] = []
-    for k in range(spec.order):
-        seq = list(spec.head[k])
-        if len(seq) < need:
-            cyc = spec.cycle[k]
-            while len(seq) < need:
-                seq.extend(cyc)
-        out.append(seq[:need])
-    return out
 
 
-def backward_values(spec: DigitSpec, depth: int) -> list[tuple[Fraction, ...]]:
-    """Per-step value tuples of the depth-``depth`` truncation.
+def unroll(spec: DigitSpec, depth: int) -> list[list[int]]:
+    """Digits of every sequence through index ``depth`` (depth+1 each)."""
+    _check_depth(spec, depth)
+    return [list(seq) for seq in zip(*itertools.islice(spec.columns(), depth + 1))]
 
-    Index i of the result holds (x_1(i), ..., x_m(i)); index 0 is the
-    convergent tuple itself.
-    """
-    digits = unroll(spec, depth)
+
+def convergents(spec: DigitSpec) -> Iterator[tuple[Fraction, ...]]:
+    """Exact convergent tuples at depths 0, 1, 2, ... by the forward
+    recurrence; the stream ends with the digits of a cycle-free spec."""
     m = spec.order
-    n = depth
-    # A zero terminal first-sequence digit would make the tail blow up;
-    # shorten the truncation instead (only reachable at n >= 1 for specs
-    # built outside the validated constructor).
-    while n >= 1 and digits[0][n] == 0:
-        n -= 1
-    values: list[tuple[Fraction, ...]] = [()] * (n + 1)
-    values[n] = tuple(Fraction(digits[k][n]) for k in range(m))
-    for i in range(n - 1, -1, -1):
-        nxt = values[i + 1]
-        x1 = nxt[0]
-        if x1 == 0:
-            raise ZeroTail(f"first-sequence value at step {i + 1} is zero")
-        row = [Fraction(0)] * m
-        row[m - 1] = digits[m - 1][i] + 1 / x1
-        for k in range(m - 2, -1, -1):
-            row[k] = digits[k][i] + nxt[k + 1] / x1
-        values[i] = tuple(row)
-    return values
+    cols = [tuple(int(i == j) for i in range(m + 1)) for j in range(m + 1)]
+    for digits in spec.columns():
+        new = [
+            c0 + sum(a * col[i] for a, col in zip(digits, cols[1:]))
+            for i, c0 in enumerate(cols[0])
+        ]
+        cols = [cols[m], new, *cols[1:m]]
+        yield tuple(Fraction(v, new[0]) for v in new[1:])
 
 
 def convergent(spec: DigitSpec, depth: int) -> tuple[Fraction, ...]:
     """Exact rational convergent tuple at truncation ``depth``."""
-    return backward_values(spec, depth)[0]
+    return convergent_table(spec, depth)[-1]
 
 
 def convergent_table(spec: DigitSpec, upto: int) -> list[tuple[Fraction, ...]]:
     """Convergents at every depth 0..upto."""
-    if upto < 0:
-        raise ValueError("upto must be >= 0")
-    return [convergent(spec, n) for n in range(upto + 1)]
+    _check_depth(spec, upto)
+    return list(itertools.islice(convergents(spec), upto + 1))
 
 
 def reconstruct(
@@ -186,10 +168,10 @@ def reconstruct(
         raise ValueError("tol must be positive")
     if spec.cycle is None:
         return convergent(spec, spec.head_length - 1), Fraction(0)
-    prev = convergent(spec, 0)
+    stream = convergents(spec)
+    prev = next(stream)
     recent: list[Fraction] = []
-    for n in range(1, max_depth + 1):
-        cur = convergent(spec, n)
+    for cur in itertools.islice(stream, max_depth):
         diff = max(abs(a - b) for a, b in zip(cur, prev))
         prev = cur
         if diff < tol:

@@ -58,9 +58,6 @@ class Expansion:
     def is_terminated(self) -> bool:
         return self.terminated_at is not None
 
-    def digit_columns(self) -> list[tuple[int, ...]]:
-        return [tuple(seq[i] for seq in self.digits) for i in range(len(self))]
-
 
 def expand_step(state: ExpansionState) -> tuple[tuple[int, ...], ExpansionState | None]:
     """One expansion step: the digit tuple and the next state (None on

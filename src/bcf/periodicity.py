@@ -89,3 +89,10 @@ def apparent_digit_period(digits: tuple[tuple[int, ...], ...]) -> PeriodReport:
         if p <= n - 2 * q:
             return PeriodReport(APPARENT, preperiod=p, period=q, witness=None)
     return PeriodReport(NONE_WITHIN_DEPTH, 0, 0, None)
+
+
+def period_report(exp: Expansion) -> PeriodReport:
+    """Proven period of an exact expansion; apparent digit period otherwise."""
+    if exp.states is not None:
+        return detect_period(exp)
+    return apparent_digit_period(exp.digits)

@@ -252,6 +252,16 @@ def test_exit_4_on_non_monic_modulus(capsys):
     assert code == 4
 
 
+def test_exit_4_on_interval_holding_several_roots(capsys):
+    code, out, err = run_cli(
+        capsys,
+        ["expand", "alg:poly=-1,9,-6,1;elem=0,1;lo=0;hi=5", "--depth", "6"],
+    )
+    assert code == 4
+    assert out == ""
+    assert "3 distinct real roots" in err
+
+
 def test_exit_5_on_tree_wrong_order(capsys):
     code, _, err = run_cli(capsys, ["tree", "--inline", "(1)", "--depth", "2"])
     assert code == 5

@@ -1,13 +1,15 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcf.arith import IntPolynomial, NumberField, refine_root
 from bcf.errors import InsufficientDigits, NoConvergence, UnsupportedOrder
 from bcf.evaluation import (
     DigitSpec,
-    backward_values,
     convergent,
     convergent_table,
     reconstruct,
@@ -30,6 +32,54 @@ QUARTIC_SPEC = DigitSpec(
 
 def tol(exp10: int) -> Fraction:
     return Fraction(1, 10**exp10)
+
+
+def digit_rows(spec: DigitSpec, depth: int) -> list[list[int]]:
+    """Head then repeated cycle of each sequence, cut after index ``depth``."""
+    rows = []
+    for k in range(spec.order):
+        seq = list(spec.head[k])
+        while spec.cycle is not None and len(seq) <= depth:
+            seq.extend(spec.cycle[k])
+        rows.append(seq[: depth + 1])
+    return rows
+
+
+def backward_convergent(spec: DigitSpec, depth: int) -> tuple[Fraction, ...]:
+    """Test-only oracle: the depth-``depth`` convergent by the backward
+    recurrence from the terminal digits,
+
+        x_m(i) = a_m(i) + 1 / x_1(i+1)
+        x_k(i) = a_k(i) + x_(k+1)(i+1) / x_1(i+1)      (k < m).
+    """
+    rows = digit_rows(spec, depth)
+    m = spec.order
+    x = [Fraction(seq[depth]) for seq in rows]
+    for i in range(depth - 1, -1, -1):
+        x = [rows[k][i] + (x[k + 1] if k + 1 < m else 1) / x[0] for k in range(m)]
+    return tuple(x)
+
+
+@st.composite
+def digit_specs(draw):
+    """Valid specs of order 1-4, with or without a head and a cycle."""
+    m = draw(st.integers(1, 4))
+    cycle_len = draw(st.integers(0, 3))
+    head_len = draw(st.integers(0 if cycle_len else 1, 4))
+
+    def seqs(length, first_free):
+        # first-sequence digits past the first ``first_free`` must be >= 1
+        first = [draw(st.integers(int(i >= first_free), 6)) for i in range(length)]
+        rest = [[draw(st.integers(0, 6)) for _ in range(length)] for _ in range(m - 1)]
+        return tuple(map(tuple, [first, *rest]))
+
+    head = seqs(head_len, first_free=1)
+    cycle = seqs(cycle_len, first_free=0) if cycle_len else None
+    return DigitSpec(order=m, head=head, cycle=cycle)
+
+
+def spec_depth(spec: DigitSpec, depth: int) -> int:
+    return depth if spec.max_depth is None else min(depth, spec.max_depth)
 
 
 # -- unroll -------------------------------------------------------------------
@@ -55,6 +105,16 @@ def test_unroll_insufficient_digits():
     spec = DigitSpec(order=1, head=((1, 2),))
     with pytest.raises(InsufficientDigits):
         unroll(spec, 5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(digit_specs(), st.integers(0, 12))
+def test_unroll_and_columns_lay_out_head_then_cycle(spec, depth):
+    depth = spec_depth(spec, depth)
+    rows = digit_rows(spec, depth)
+    assert unroll(spec, depth) == rows
+    columns = itertools.islice(spec.columns(), depth + 1)
+    assert [list(seq) for seq in zip(*columns)] == rows
 
 
 def test_spec_validation():
@@ -106,6 +166,15 @@ def test_allones3_table_converges_to_tetranacci():
     assert abs(table[-1][0] - Fraction("1.9275619754")) < tol(8)
 
 
+@settings(max_examples=200, deadline=None)
+@given(digit_specs(), st.integers(0, 25))
+def test_convergent_table_matches_backward_oracle(spec, upto):
+    upto = spec_depth(spec, upto)
+    assert convergent_table(spec, upto) == [
+        backward_convergent(spec, n) for n in range(upto + 1)
+    ]
+
+
 def test_tribonacci_ratio_identity():
     t = kbonacci(3, 40)
     for n in range(31):
@@ -132,8 +201,8 @@ def test_beta_identity_every_depth():
         a, b = rng.randint(1, 4), rng.randint(0, 4)
         spec = DigitSpec.constant((a, b))
         n = rng.randint(1, 25)
-        rows = backward_values(spec, n)
-        assert rows[0][1] == b + 1 / rows[1][0]
+        # the step-1 tail of a constant spec is the same spec, one level shallower
+        assert convergent(spec, n)[1] == b + 1 / convergent(spec, n - 1)[0]
 
 
 def test_fixed_point_residual_shrinks():

@@ -34,6 +34,16 @@ def test_construction_rejects_signless_interval():
         NumberField(IntPolynomial((-2, 0, 1)), 2, 3)
 
 
+def test_construction_rejects_interval_holding_several_roots():
+    # x^3 - 6x^2 + 9x - 1 changes sign on (0, 5) but has three roots there
+    cubic = IntPolynomial((-1, 9, -6, 1))
+    with pytest.raises(NonIsolatingInterval, match="3 distinct real roots"):
+        NumberField(cubic, 0, 5)
+    for lo, hi in ((0, 1), (1, 3), (3, 5)):
+        NumberField(cubic, lo, hi)
+    NumberField(IntPolynomial((-1, 0, 1)), Fraction(1, 2), Fraction(3, 2))
+
+
 def test_mul_theta_squared_is_two():
     th = SQRT2.theta()
     assert (th * th).coords == (frac(2), frac(0))

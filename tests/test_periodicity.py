@@ -12,6 +12,7 @@ from bcf.periodicity import (
     PROVEN,
     apparent_digit_period,
     detect_period,
+    period_report,
 )
 
 SQRT2 = NumberField(IntPolynomial((-2, 0, 1)), 1, 2)
@@ -52,6 +53,15 @@ def test_inexact_backend_refused():
     e = expand([GuardedDecimal.from_literal("1.8392867552", guard_digits=1)], 4)
     with pytest.raises(InexactBackend):
         detect_period(e)
+
+
+def test_period_report_proves_exact_and_scans_inexact():
+    exact = expand([SQRT2.theta()], 10)
+    assert period_report(exact) == detect_period(exact)
+    guarded = expand([GuardedDecimal.from_literal("1.41421356237309504880", guard_digits=2)], 12)
+    assert guarded.states is None
+    assert period_report(guarded) == apparent_digit_period(guarded.digits)
+    assert period_report(guarded).status == APPARENT
 
 
 def test_proven_period_replays_from_witness_state():
