@@ -39,7 +39,6 @@ from .periodicity import (
     PROVEN,
     PeriodReport,
     apparent_digit_period,
-    detect_period,
     period_report,
 )
 from .sequences import kbonacci, ratio_limit
@@ -76,7 +75,6 @@ __all__ = [
     "PROVEN",
     "PeriodReport",
     "apparent_digit_period",
-    "detect_period",
     "period_report",
     "kbonacci",
     "ratio_limit",

@@ -339,3 +339,7 @@ def cmd_cubic_hunt(args):
 
 def _emit_json(payload):
     print(json.dumps(payload, indent=2))
+
+
+if __name__ == "__main__":
+    run()

@@ -89,9 +89,5 @@ class UnsupportedOrder(UnsupportedError):
     """Operation defined only for a specific expansion order."""
 
 
-class InexactBackend(UnsupportedError):
-    """Proven periodicity needs exact state snapshots."""
-
-
 class NegativeInput(UnsupportedError):
     """Expansion inputs must be non-negative reals."""

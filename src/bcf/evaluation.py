@@ -128,9 +128,8 @@ def unroll(spec: DigitSpec, depth: int) -> list[list[int]]:
     return [list(seq) for seq in zip(*itertools.islice(spec.columns(), depth + 1))]
 
 
-def convergents(spec: DigitSpec) -> Iterator[tuple[Fraction, ...]]:
-    """Exact convergent tuples at depths 0, 1, 2, ... by the forward
-    recurrence; the stream ends with the digits of a cycle-free spec."""
+def _product_columns(spec: DigitSpec) -> Iterator[list[int]]:
+    """The new integer column (X_0, ..., X_m) at depths 0, 1, 2, ..."""
     m = spec.order
     cols = [tuple(int(i == j) for i in range(m + 1)) for j in range(m + 1)]
     for digits in spec.columns():
@@ -139,12 +138,23 @@ def convergents(spec: DigitSpec) -> Iterator[tuple[Fraction, ...]]:
             for i, c0 in enumerate(cols[0])
         ]
         cols = [cols[m], new, *cols[1:m]]
-        yield tuple(Fraction(v, new[0]) for v in new[1:])
+        yield new
+
+
+def _ratios(column: list[int]) -> tuple[Fraction, ...]:
+    return tuple(Fraction(v, column[0]) for v in column[1:])
+
+
+def convergents(spec: DigitSpec) -> Iterator[tuple[Fraction, ...]]:
+    """Exact convergent tuples at depths 0, 1, 2, ... by the forward
+    recurrence; the stream ends with the digits of a cycle-free spec."""
+    return map(_ratios, _product_columns(spec))
 
 
 def convergent(spec: DigitSpec, depth: int) -> tuple[Fraction, ...]:
     """Exact rational convergent tuple at truncation ``depth``."""
-    return convergent_table(spec, depth)[-1]
+    _check_depth(spec, depth)
+    return _ratios(next(itertools.islice(_product_columns(spec), depth, None)))
 
 
 def convergent_table(spec: DigitSpec, upto: int) -> list[tuple[Fraction, ...]]:

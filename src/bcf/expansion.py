@@ -8,14 +8,20 @@ sequences by iterating
     next state = (1/f_m, f_1/f_m, ..., f_(m-1)/f_m)
 
 with termination when f_m is exactly zero.  m = 1 is the classical
-continued fraction.  With an exact backend every state is snapshotted so
-periodicity can later be proven by exact recurrence.
+continued fraction.
+
+Exact backends snapshot every state.  The dynamics are deterministic, so
+once a number-field state equals an earlier one the digits between them
+repeat forever: the loop stops there and copies that cycle out to the
+requested depth.  Rational tuples terminate (their common denominator
+falls at every step), so only field states are looked up.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import cycle, islice
 from math import floor
 from typing import Sequence
 
@@ -26,14 +32,10 @@ from .errors import MixedFields, NegativeInput
 @dataclass(frozen=True)
 class ExpansionState:
     """The value tuple entering step ``step``; equality of ``values`` across
-    steps is what periodicity detection looks for."""
+    steps proves a period."""
 
     values: tuple[RealValue, ...]
     step: int
-
-    @property
-    def order(self) -> int:
-        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -43,13 +45,16 @@ class Expansion:
     ``digits[k][i]`` is the step-i digit of sequence k+1.  ``states[i]``
     (exact backends only) is the state that produced step i's digits.
     ``terminated_at`` is the step whose m-th fractional part was exactly
-    zero, or None.
+    zero, or None.  ``recurrence`` is the first witness (i, j) of equal
+    states i < j; ``states`` then ends at j - 1 and the digits from j on
+    are copied from the cycle i..j-1.
     """
 
     order: int
     digits: tuple[tuple[int, ...], ...]
     terminated_at: int | None
     states: tuple[ExpansionState, ...] | None
+    recurrence: tuple[int, int] | None
 
     def __len__(self) -> int:
         return len(self.digits[0])
@@ -81,7 +86,8 @@ def expand_step(state: ExpansionState) -> tuple[tuple[int, ...], ExpansionState 
 
 
 def expand(values: Sequence[RealValue | int], max_depth: int) -> Expansion:
-    """Iterate expand_step up to ``max_depth`` digit tuples or termination."""
+    """Iterate expand_step up to ``max_depth`` digit tuples, termination or
+    the first exact state recurrence, whose cycle fills the rest."""
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
     vals = tuple(Fraction(v) if isinstance(v, int) else v for v in values)
@@ -94,20 +100,23 @@ def expand(values: Sequence[RealValue | int], max_depth: int) -> Expansion:
             + ", ".join(sorted(str(k) for k in keys))
         )
     exact = not isinstance(vals[0], GuardedDecimal)
+    seen: dict | None = {} if isinstance(vals[0], FieldElement) else None
 
-    m = len(vals)
-    sequences: list[list[int]] = [[] for _ in range(m)]
+    rows: list[tuple[int, ...]] = []
     states: list[ExpansionState] = []
     terminated_at: int | None = None
+    recurrence: tuple[int, int] | None = None
 
     state: ExpansionState | None = ExpansionState(vals, 0)
     for i in range(max_depth):
         assert state is not None
+        if seen is not None and seen.setdefault(state.values, i) != i:
+            recurrence = (seen[state.values], i)
+            break
         if exact:
             states.append(state)
         digits, state = expand_step(state)
-        for seq, d in zip(sequences, digits):
-            seq.append(d)
+        rows.append(digits)
         if i >= 1 and digits[0] < 1:
             raise AssertionError(
                 f"first-sequence digit {digits[0]} < 1 at step {i}; "
@@ -117,11 +126,14 @@ def expand(values: Sequence[RealValue | int], max_depth: int) -> Expansion:
             terminated_at = i
             break
 
+    if recurrence is not None:
+        rows += islice(cycle(rows[recurrence[0] :]), max_depth - len(rows))
     return Expansion(
-        order=m,
-        digits=tuple(tuple(seq) for seq in sequences),
+        order=len(vals),
+        digits=tuple(zip(*rows)),
         terminated_at=terminated_at,
         states=tuple(states) if exact else None,
+        recurrence=recurrence,
     )
 
 

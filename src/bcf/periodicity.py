@@ -1,17 +1,17 @@
-"""Eventual-periodicity detection by exact recurrence of expansion states.
+"""Eventual-periodicity reports.
 
-A period is *proven* only when two exact state snapshots are identical;
-the dynamics are deterministic, so the first recurrence pins down both the
-minimal preperiod and the minimal period.  Digit sequences from inexact
-(guarded-decimal) runs only ever get an *apparent* period from a repeating
-suffix scan.
+A period is *proven* only by an exact state recurrence, which
+``expansion.expand`` finds in the same pass that computes the digits:
+the dynamics are deterministic, so the first recurrence pins down both
+the minimal preperiod and the minimal period.  Digit sequences from
+inexact (guarded-decimal) runs only ever get an *apparent* period from a
+repeating suffix scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InexactBackend
 from .expansion import Expansion
 
 PROVEN = "proven"
@@ -32,40 +32,6 @@ class PeriodReport:
     @property
     def found(self) -> bool:
         return self.status != NONE_WITHIN_DEPTH
-
-
-def detect_period(exp: Expansion) -> PeriodReport:
-    """Earliest exact state recurrence in an exact expansion.
-
-    Returns a proven report (preperiod p, period q, witness indices with
-    equal states) or none-within-depth.  Digit periodicity is re-verified
-    against the recorded digit sequences.
-    """
-    if exp.states is None:
-        raise InexactBackend(
-            "period proof needs exact state snapshots; this expansion used an "
-            "inexact backend"
-        )
-    seen: dict = {}
-    for j, state in enumerate(exp.states):
-        key = state.values
-        if key in seen:
-            i = seen[key]
-            _verify_digit_period(exp, i, j - i)
-            return PeriodReport(PROVEN, preperiod=i, period=j - i, witness=(i, j))
-        seen[key] = j
-    return PeriodReport(NONE_WITHIN_DEPTH, 0, 0, None)
-
-
-def _verify_digit_period(exp: Expansion, preperiod: int, period: int):
-    n = len(exp)
-    for seq in exp.digits:
-        for t in range(preperiod, n - period):
-            if seq[t] != seq[t + period]:
-                raise AssertionError(
-                    f"state recurrence at preperiod {preperiod}, period {period} "
-                    f"contradicts digits at step {t}"
-                )
 
 
 def apparent_digit_period(digits: tuple[tuple[int, ...], ...]) -> PeriodReport:
@@ -92,7 +58,12 @@ def apparent_digit_period(digits: tuple[tuple[int, ...], ...]) -> PeriodReport:
 
 
 def period_report(exp: Expansion) -> PeriodReport:
-    """Proven period of an exact expansion; apparent digit period otherwise."""
+    """Proven period of an exact expansion from its state recurrence
+    witness (i, j), or none within its depth; apparent digit period for
+    inexact expansions."""
+    if exp.recurrence is not None:
+        i, j = exp.recurrence
+        return PeriodReport(PROVEN, preperiod=i, period=j - i, witness=exp.recurrence)
     if exp.states is not None:
-        return detect_period(exp)
+        return PeriodReport(NONE_WITHIN_DEPTH, 0, 0, None)
     return apparent_digit_period(exp.digits)

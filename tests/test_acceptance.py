@@ -14,7 +14,7 @@ from bcf.arith import IntPolynomial, NumberField, refine_root
 from bcf.closedform import alpha_cubic, cubic_hunt
 from bcf.evaluation import DigitSpec, convergent, reconstruct
 from bcf.expansion import expand
-from bcf.periodicity import PROVEN, detect_period
+from bcf.periodicity import PROVEN, period_report
 from bcf.sequences import kbonacci
 from bcf.cli import main as cli_main
 
@@ -38,9 +38,10 @@ def test_criterion_01_tribonacci_pair_constant_digits():
     beta = 1 + th.inverse()
     exp = expand([th, beta], 31)
     assert exp.digits == ((1,) * 31, (1,) * 31)
-    first = exp.states[0].values
-    assert all(state.values == first for state in exp.states)
-    ok(1, "expanding (alpha, 1 + 1/alpha) gives a=b=1 for 31 steps, state exactly fixed")
+    assert exp.recurrence == (0, 1)
+    assert len(exp.states) == 1
+    ok(1, "expanding (alpha, 1 + 1/alpha) gives a=b=1 for 31 steps, witness (0, 1) "
+          "proves the state exactly fixed")
 
 
 def test_criterion_02_fifth_convergent_exact():
@@ -76,7 +77,7 @@ def test_criterion_06_quartic_triple_period():
     assert exp.digits[0] == (1, 1, 1, 2, 1, 1, 2, 1, 1, 2, 1, 1, 2)
     assert exp.digits[1] == (1, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 1)
     assert exp.digits[2] == (1, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 1)
-    report = detect_period(exp)
+    report = period_report(exp)
     assert (report.status, report.preperiod, report.period) == (PROVEN, 1, 3)
     ok(6, "(2^(1/4), 2^(1/2), 2^(3/4)) gives {1 (1 1 2)}, {(1 0 0)}, {(1 0 0)}; "
           "preperiod 1, period 3 proven")

@@ -17,7 +17,7 @@ from bcf.evaluation import (
     unroll,
 )
 from bcf.expansion import expand
-from bcf.periodicity import detect_period
+from bcf.periodicity import period_report
 from bcf.sequences import kbonacci
 
 UNIT = DigitSpec.constant((1, 1))
@@ -173,6 +173,7 @@ def test_convergent_table_matches_backward_oracle(spec, upto):
     assert convergent_table(spec, upto) == [
         backward_convergent(spec, n) for n in range(upto + 1)
     ]
+    assert convergent(spec, upto) == backward_convergent(spec, upto)
 
 
 def test_tribonacci_ratio_identity():
@@ -321,7 +322,7 @@ def test_from_expansion_folds_proven_period():
     field = NumberField(IntPolynomial((-2, 0, 0, 0, 1)), 1, 2)
     th = field.theta()
     exp = expand([th, th**2, th**3], 14)
-    report = detect_period(exp)
+    report = period_report(exp)
     spec = DigitSpec.from_expansion(exp, report)
     assert spec.head == ((1,), (1,), (1,))
     assert spec.cycle == ((1, 1, 2), (0, 0, 1), (0, 0, 1))

@@ -60,8 +60,23 @@ def test_tribonacci_pair_is_fixed_point():
     beta = 1 + th.inverse()
     e = expand([th, beta], 12)
     assert e.digits == ((1,) * 12, (1,) * 12)
-    for state in e.states:
-        assert state.values == e.states[0].values
+    assert e.recurrence == (0, 1)
+    assert len(e.states) == 1
+
+
+def test_fixed_point_stops_after_one_step(monkeypatch):
+    calls = []
+
+    def counted(state):
+        calls.append(state.step)
+        return expand_step(state)
+
+    monkeypatch.setattr("bcf.expansion.expand_step", counted)
+    th = TRIB.theta()
+    e = expand([th, 1 + th.inverse()], 1000)
+    assert calls == [0]
+    assert e.digits == ((1,) * 1000, (1,) * 1000)
+    assert e.recurrence == (0, 1)
 
 
 def test_moore_pair_digits():

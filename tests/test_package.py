@@ -1,0 +1,32 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import bcf
+from bcf.cli import main
+
+ARGV = ["expand", "rat:7/4", "--depth", "10"]
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in bcf.__all__ if not hasattr(bcf, name)]
+    assert missing == []
+
+
+@pytest.mark.parametrize("module", ["bcf", "bcf.cli"])
+def test_module_entry_points_match_main(module, capsys):
+    assert main(ARGV) == 0
+    expected = capsys.readouterr().out
+    src = str(Path(bcf.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, *ARGV],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")

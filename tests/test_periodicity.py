@@ -1,29 +1,52 @@
 import random
 from fractions import Fraction
 
-import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bcf.arith import GuardedDecimal, IntPolynomial, NumberField
-from bcf.errors import InexactBackend
-from bcf.expansion import expand
+from bcf.closedform import allones_poly, alpha_cubic, alpha_root_interval
+from bcf.expansion import ExpansionState, expand, expand_step
 from bcf.periodicity import (
     APPARENT,
     NONE_WITHIN_DEPTH,
     PROVEN,
+    PeriodReport,
     apparent_digit_period,
-    detect_period,
     period_report,
 )
 
 SQRT2 = NumberField(IntPolynomial((-2, 0, 1)), 1, 2)
 TRIB = NumberField(IntPolynomial((-1, -1, -1, 1)), 1, 2)
 QUARTIC = NumberField(IntPolynomial((-2, 0, 0, 0, 1)), 1, 2)
+CBRT2 = NumberField(IntPolynomial((-2, 0, 0, 1)), 1, 2)
+
+
+def unfused_expansion(values, max_depth):
+    """Test-only oracle, the two-pass loop: step expand_step to
+    ``max_depth`` or termination, snapshot every state, then take the first
+    repeated state by dict.  Returns (digits, terminated_at, witness, states)."""
+    state, rows, states, terminated_at = ExpansionState(tuple(values), 0), [], [], None
+    for i in range(max_depth):
+        states.append(state)
+        digits, state = expand_step(state)
+        rows.append(digits)
+        if state is None:
+            terminated_at = i
+            break
+    seen, witness = {}, None
+    for j, snapshot in enumerate(states):
+        i = seen.setdefault(snapshot.values, j)
+        if i != j:
+            witness = (i, j)
+            break
+    return tuple(zip(*rows)), terminated_at, witness, states
 
 
 def test_sqrt2_preperiod_one_period_one():
     e = expand([SQRT2.theta()], 10)
     assert e.digits[0] == (1,) + (2,) * 9
-    r = detect_period(e)
+    r = period_report(e)
     assert (r.status, r.preperiod, r.period) == (PROVEN, 1, 1)
     assert r.witness == (1, 2)
 
@@ -31,33 +54,27 @@ def test_sqrt2_preperiod_one_period_one():
 def test_tribonacci_pair_pure_period_one():
     th = TRIB.theta()
     e = expand([th, 1 + th.inverse()], 10)
-    r = detect_period(e)
+    r = period_report(e)
     assert (r.status, r.preperiod, r.period) == (PROVEN, 0, 1)
 
 
 def test_quartic_triple_preperiod_one_period_three():
     th = QUARTIC.theta()
     e = expand([th, th**2, th**3], 20)
-    r = detect_period(e)
+    r = period_report(e)
     assert (r.status, r.preperiod, r.period) == (PROVEN, 1, 3)
 
 
 def test_none_within_depth():
     e = expand([TRIB.theta()], 6)  # classic CF of the cubic never repeats states
-    r = detect_period(e)
+    r = period_report(e)
     assert r.status == NONE_WITHIN_DEPTH
     assert not r.found
 
 
-def test_inexact_backend_refused():
-    e = expand([GuardedDecimal.from_literal("1.8392867552", guard_digits=1)], 4)
-    with pytest.raises(InexactBackend):
-        detect_period(e)
-
-
 def test_period_report_proves_exact_and_scans_inexact():
     exact = expand([SQRT2.theta()], 10)
-    assert period_report(exact) == detect_period(exact)
+    assert period_report(exact) == PeriodReport(PROVEN, 1, 1, (1, 2))
     guarded = expand([GuardedDecimal.from_literal("1.41421356237309504880", guard_digits=2)], 12)
     assert guarded.states is None
     assert period_report(guarded) == apparent_digit_period(guarded.digits)
@@ -67,7 +84,7 @@ def test_period_report_proves_exact_and_scans_inexact():
 def test_proven_period_replays_from_witness_state():
     th = QUARTIC.theta()
     e = expand([th, th**2, th**3], 20)
-    r = detect_period(e)
+    r = period_report(e)
     q = r.period
     replay = expand(e.states[r.preperiod].values, 2 * q + 1)
     for seq in replay.digits:
@@ -77,13 +94,14 @@ def test_proven_period_replays_from_witness_state():
 
 def test_minimality_by_exhaustive_pair_scan():
     th = QUARTIC.theta()
-    e = expand([th, th**2, th**3], 20)
-    r = detect_period(e)
+    values = [th, th**2, th**3]
+    r = period_report(expand(values, 20))
+    states = unfused_expansion(values, 20)[3]
     hits = [
         (i, j)
-        for i in range(len(e.states))
-        for j in range(i + 1, len(e.states))
-        if e.states[i].values == e.states[j].values
+        for i in range(len(states))
+        for j in range(i + 1, len(states))
+        if states[i].values == states[j].values
     ]
     best = min(hits, key=lambda ij: (ij[1] - ij[0], ij[0]))
     assert best == (r.preperiod, r.preperiod + r.period)
@@ -91,10 +109,64 @@ def test_minimality_by_exhaustive_pair_scan():
 
 def test_digit_periodicity_holds_on_report():
     e = expand([SQRT2.theta()], 12)
-    r = detect_period(e)
+    r = period_report(e)
     for seq in e.digits:
         for t in range(r.preperiod, len(e) - r.period):
             assert seq[t] == seq[t + r.period]
+
+
+def period1_pair(a, b):
+    th = NumberField(alpha_cubic(a, b), *alpha_root_interval(a, b)).theta()
+    return [th, b + th.inverse()]
+
+
+def all_ones(m):
+    th = NumberField(allones_poly(m), 1, 2).theta()
+    values = [th]
+    for _ in range(m - 1):
+        values.append(th * (values[-1] - 1))
+    return values
+
+
+def quartic_triple(n):
+    """(θ, θ², θ³) for θ = n^(1/4), 1 < n < 16."""
+    th = NumberField(IntPolynomial((-n, 0, 0, 0, 1)), 1, 2).theta()
+    return [th, th**2, th**3]
+
+
+@st.composite
+def small_elements(draw):
+    """Order 1-2 tuples of random non-negative elements of Q(sqrt 2) or
+    Q(2^(1/3)) with small coordinates; zeros terminate at once."""
+    field = draw(st.sampled_from([SQRT2, CBRT2]))
+    coord = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    values = []
+    for _ in range(draw(st.integers(1, 2))):
+        x = field.element(draw(st.lists(coord, min_size=1, max_size=field.degree)))
+        values.append(-x if x.sign() < 0 else x)
+    return values
+
+
+expansion_inputs = st.one_of(
+    st.integers(1, 5).flatmap(lambda a: st.integers(0, a).map(lambda b: period1_pair(a, b))),
+    st.integers(1, 3).map(all_ones),
+    st.sampled_from([2, 3, 5, 7, 11]).map(quartic_triple),
+    small_elements(),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(expansion_inputs, st.integers(1, 40))
+@example(quartic_triple(2), 4)  # witness (1, 4) lies just past the depth
+@example(quartic_triple(2), 5)
+@example(period1_pair(2, 1), 1)
+def test_expand_matches_unfused_oracle(values, depth):
+    digits, terminated_at, witness, states = unfused_expansion(values, depth)
+    e = expand(values, depth)
+    assert e.digits == digits
+    assert e.terminated_at == terminated_at
+    assert e.recurrence == witness
+    assert e.states == tuple(states[: witness[1] if witness else None])
 
 
 def test_apparent_scan_on_digits():
