@@ -17,7 +17,7 @@ from decimal import Context, Decimal
 from fractions import Fraction
 from math import ceil, floor, log10
 
-from ..errors import AmbiguousComparison, AmbiguousFloor
+from ..errors import AmbiguousFloor
 
 _LITERAL_RE = re.compile(r"^[+-]?[0-9]+(\.[0-9]+)?$")
 
@@ -95,19 +95,6 @@ class GuardedDecimal:
         if gap == 0:
             return None
         return max(1, ceil(log10(self.radius / gap)) + 1)
-
-    def compare_fraction(self, q) -> int:
-        q = Fraction(q)
-        lo, hi = self.bounds()
-        if q < lo:
-            return 1
-        if q > hi:
-            return -1
-        raise AmbiguousComparison(
-            f"comparison of {_approx(self.value)} +/- {_approx(self.radius)} "
-            f"against {_approx(q)} "
-            "falls inside the guard band"
-        )
 
     # -- interval arithmetic ---------------------------------------------------
 

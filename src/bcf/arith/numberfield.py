@@ -3,10 +3,11 @@
 A field is Q[x]/(p) for a monic integer polynomial p of degree >= 2,
 pinned to one real root of p by an isolating rational interval.  Elements
 are coordinate vectors in the power basis 1, theta, ..., theta^(d-1) with
-rational entries.  Sign and floor decisions are made exactly: the root
-interval is bisected until interval evaluation of the residue settles the
-question, with a gcd-based exact test as the tie-breaker for values that
-coincide with an integer.
+rational entries.  Floors and enclosures come from one refinement loop:
+bisect the root interval and evaluate the residue on each bracket by
+interval Horner, until the enclosure settles the question.  A floor whose
+enclosure keeps straddling an integer is settled by an exact gcd test,
+because the value may be that integer.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .polynomials import (
     qp_primitive_int,
     qp_trim,
     root_count,
+    sturm_chain,
 )
 
 _MAX_REFINE = 100_000
@@ -47,6 +49,13 @@ class NumberField:
             raise NonMonicModulus(
                 f"modulus must be monic of degree >= 2, got {modulus.pretty()}"
             )
+        chain = sturm_chain(modulus)
+        if qp_deg(chain[-1]) > 0:
+            factor = qp_primitive_int(chain[-1])
+            raise ReducibleModulus(
+                f"modulus {modulus.pretty()} has repeated factor {factor.pretty()}",
+                factor=factor,
+            )
         lo, hi = Fraction(lo), Fraction(hi)
         if not lo < hi:
             raise NonIsolatingInterval(f"empty interval [{lo}, {hi}]")
@@ -54,7 +63,7 @@ class NumberField:
             raise NonIsolatingInterval(
                 f"{modulus.pretty()} has no sign change on [{lo}, {hi}]"
             )
-        roots = root_count(modulus, lo, hi)
+        roots = root_count(chain, lo, hi)
         if roots != 1:
             raise NonIsolatingInterval(
                 f"{modulus.pretty()} has {roots} distinct real roots in ({lo}, {hi})"
@@ -115,14 +124,11 @@ class FieldElement:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
-
     def __eq__(self, other) -> bool:
         if isinstance(other, FieldElement):
             return self.field == other.field and self.coords == other.coords
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coords[0] == other
+            return not any(self.coords[1:]) and self.coords[0] == other
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -202,9 +208,7 @@ class FieldElement:
         """
         if self.is_zero():
             raise ZeroInverse("inverse of zero field element")
-        residue = qp_trim(self.coords)
-        mod_poly = tuple(Fraction(c) for c in self.field.modulus.coeffs)
-        g, u, _ = qp_ext_gcd(residue, mod_poly)
+        g, u = self._gcd_with_modulus()
         if qp_deg(g) > 0:
             factor = qp_primitive_int(g)
             raise ReducibleModulus(
@@ -231,82 +235,55 @@ class FieldElement:
             return inv if other == 1 else inv * other
         return NotImplemented
 
+    def _gcd_with_modulus(self):
+        """(g, u): g = gcd(residue, modulus) and u * residue == g (mod modulus)."""
+        mod_poly = tuple(Fraction(c) for c in self.field.modulus.coeffs)
+        return qp_ext_gcd(self.coords, mod_poly)
+
     # -- order decisions -----------------------------------------------------
+
+    def _enclosures(self):
+        """Yield ``(a, b, lo, hi)``: the value lies in [a, b] because theta
+        lies in (lo, hi), each bracket a bisection of the one before; a
+        rational element yields ``a == b`` at once."""
+        coords = qp_trim(self.coords)
+        lo, hi = self.field.root_interval
+        for _ in range(_MAX_REFINE):
+            a, b = eval_interval(coords, lo, hi)
+            yield a, b, lo, hi
+            lo, hi = bisect_once(self.field.modulus, lo, hi)
+        raise NonIsolatingInterval("root refinement failed to converge")
 
     def interval(self, width) -> tuple[Fraction, Fraction]:
         """Exact rational bounds on the value, at most ``width`` apart."""
         width = Fraction(width)
         if width <= 0:
             raise ValueError("width must be positive")
-        if self.is_rational():
-            v = self.coords[0]
-            return v, v
-        lo, hi = self.field.root_interval
-        for _ in range(_MAX_REFINE):
-            a, b = eval_interval(self.coords, lo, hi)
+        for a, b, _, _ in self._enclosures():
             if b - a <= width:
                 return a, b
-            lo, hi = bisect_once(self.field.modulus, lo, hi)
-        raise NonIsolatingInterval("interval refinement failed to converge")
-
-    def sign(self) -> int:
-        """Exact sign of the real value (-1, 0, or 1)."""
-        if self.is_rational():
-            v = self.coords[0]
-            return (v > 0) - (v < 0)
-        lo, hi = self.field.root_interval
-        for step in range(_MAX_REFINE):
-            a, b = eval_interval(self.coords, lo, hi)
-            if a > 0:
-                return 1
-            if b < 0:
-                return -1
-            if step % _EXACT_TEST_EVERY == _EXACT_TEST_EVERY - 1:
-                if self._vanishes_at_root(lo, hi):
-                    return 0
-            lo, hi = bisect_once(self.field.modulus, lo, hi)
-        raise NonIsolatingInterval("sign refinement failed to converge")
 
     def floor(self) -> int:
         """Greatest integer <= value, decided by exact interval refinement."""
-        if self.is_rational():
-            return floor(self.coords[0])
-        lo, hi = self.field.root_interval
-        for step in range(_MAX_REFINE):
-            a, b = eval_interval(self.coords, lo, hi)
+        for step, (a, b, lo, hi) in enumerate(self._enclosures()):
             fa, fb = floor(a), floor(b)
             if fa == fb:
                 return fa
             # The value may be exactly the straddled integer fb; only a
             # reducible modulus can make that true, so test it rarely.
             if fb - fa == 1 and step % _EXACT_TEST_EVERY == _EXACT_TEST_EVERY - 1:
-                shifted = (self.coords[0] - fb,) + self.coords[1:]
-                if FieldElement(self.field, shifted)._vanishes_at_root(lo, hi):
+                if (self - fb)._vanishes_at_root(lo, hi):
                     return fb
-            lo, hi = bisect_once(self.field.modulus, lo, hi)
-        raise NonIsolatingInterval("floor refinement failed to converge")
 
     __floor__ = floor
 
     def _vanishes_at_root(self, lo: Fraction, hi: Fraction) -> bool:
         # value == 0 iff theta is a common root of the residue and the
-        # modulus, i.e. gcd has a sign change inside the isolating interval.
-        residue = qp_trim(self.coords)
-        if not residue:
-            return True
-        mod_poly = tuple(Fraction(c) for c in self.field.modulus.coeffs)
-        g, _, _ = qp_ext_gcd(residue, mod_poly)
-        if qp_deg(g) < 1:
-            return False
-        gpoly = qp_primitive_int(g)
-        if gpoly.sign_at(lo) * gpoly.sign_at(hi) < 0:
-            return True
-        return gpoly.sign_at(lo) == 0 or gpoly.sign_at(hi) == 0
-
-    def compare_fraction(self, q) -> int:
-        """Sign of (value - q) for a rational q, computed exactly."""
-        shifted = (self.coords[0] - Fraction(q),) + self.coords[1:]
-        return FieldElement(self.field, shifted).sign()
+        # modulus, i.e. their gcd changes sign across the isolating bracket
+        # (whose ends are never roots of the modulus, so of the gcd; a
+        # constant gcd changes sign nowhere).
+        gpoly = qp_primitive_int(self._gcd_with_modulus()[0])
+        return gpoly.sign_at(lo) * gpoly.sign_at(hi) < 0
 
 
 def _reduce_mod(prod: Sequence[Fraction], modulus: IntPolynomial) -> tuple[Fraction, ...]:

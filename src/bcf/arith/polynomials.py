@@ -143,12 +143,21 @@ def refine_root(
     return lo, hi
 
 
-def root_count(poly: IntPolynomial, lo: Fraction, hi: Fraction) -> int:
-    """Distinct real roots of ``poly`` in (lo, hi], by Sturm's theorem."""
+def sturm_chain(poly: IntPolynomial) -> list[tuple[Fraction, ...]]:
+    """Sturm sequence p, p', -rem(p, p'), ... of a non-constant ``poly``.
+
+    It stops at the last nonzero remainder, which is gcd(p, p') up to a
+    rational unit: of positive degree exactly when p has a repeated factor.
+    """
     chain = [tuple(map(Fraction, poly.coeffs))]
     chain.append(tuple(k * c for k, c in enumerate(chain[0]))[1:])
-    while chain[-1]:
-        chain.append(tuple(-c for c in qp_divmod(chain[-2], chain[-1])[1]))
+    while rem := qp_divmod(chain[-2], chain[-1])[1]:
+        chain.append(tuple(-c for c in rem))
+    return chain
+
+
+def root_count(chain: Sequence[Sequence[Fraction]], lo: Fraction, hi: Fraction) -> int:
+    """Distinct real roots of ``chain[0]`` in (lo, hi], by Sturm's theorem."""
 
     def variations(x: Fraction) -> int:
         signs = [v > 0 for v in (qp_eval(p, x) for p in chain) if v]
@@ -220,16 +229,15 @@ def qp_divmod(a: Sequence[Fraction], b: Sequence[Fraction]):
 
 
 def qp_ext_gcd(a: Sequence[Fraction], b: Sequence[Fraction]):
-    """Extended Euclid over Q[x]: returns (g, u, v) with u*a + v*b = g."""
+    """Extended Euclid over Q[x]: returns (g, u) with g = gcd(a, b) and
+    u*a == g (mod b)."""
     old_r, r = qp_trim(a), qp_trim(b)
     old_u, u = (Fraction(1),), ()
-    old_v, v = (), (Fraction(1),)
     while r:
         q, rem = qp_divmod(old_r, r)
         old_r, r = r, rem
         old_u, u = u, qp_sub(old_u, qp_mul(q, u))
-        old_v, v = v, qp_sub(old_v, qp_mul(q, v))
-    return old_r, old_u, old_v
+    return old_r, old_u
 
 
 def qp_primitive_int(coeffs: Sequence[Fraction]) -> IntPolynomial:

@@ -54,12 +54,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("values", nargs="+", help="value specs (rat:, dec:, alg:)")
     p.add_argument("--depth", type=int, default=16, help="maximum digit tuples")
     p.add_argument("--period", action="store_true", help="report (and fold) periodicity")
-    _output_options(p)
+    _format_option(p)
+    p.add_argument("--verbose", action="store_true", help="include source metadata")
 
     p = sub.add_parser("convergents", help="exact convergents of a digit spec")
     _digit_source(p)
     p.add_argument("--upto", type=int, default=10, help="deepest truncation depth")
-    _output_options(p)
+    _format_option(p)
+    p.add_argument("--places", type=int, default=DEFAULT_PLACES, help="decimal places shown")
 
     p = sub.add_parser("tree", help="render the order-2 tree")
     _digit_source(p)
@@ -72,23 +74,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", choices=("alpha", "beta"), default="alpha")
     p.add_argument("--all-ones", action="store_true", help="order-m all-ones polynomial")
     p.add_argument("--order", type=int, help="expansion order m for --all-ones")
-    _output_options(p)
+    _format_option(p)
 
     p = sub.add_parser("kbonacci", help="k-bonacci sequence terms")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    _output_options(p)
+    _format_option(p)
 
     p = sub.add_parser("period", help="periodicity report for value specs")
     p.add_argument("values", nargs="+", help="value specs (rat:, dec:, alg:)")
     p.add_argument("--depth", type=int, default=32, help="expansion depth to scan")
-    _output_options(p)
+    _format_option(p)
 
     p = sub.add_parser("cubic-hunt", help="brute-force integer cubics near a value")
     p.add_argument("--value", required=True, help="value spec (dec: or rat:)")
     p.add_argument("--height", type=int, default=10, help="coefficient bound")
     p.add_argument("--tol", default="1e-9", help="residual tolerance")
-    _output_options(p)
+    _format_option(p)
+    p.add_argument("--places", type=int, default=DEFAULT_PLACES, help="decimal places shown")
 
     return parser
 
@@ -99,10 +102,8 @@ def _digit_source(p: argparse.ArgumentParser):
     group.add_argument("--inline", help="inline digits, e.g. '1 (1 1 2)/1 (0 0 1)'")
 
 
-def _output_options(p: argparse.ArgumentParser):
+def _format_option(p: argparse.ArgumentParser):
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--places", type=int, default=DEFAULT_PLACES, help="decimal places shown")
-    p.add_argument("--verbose", action="store_true", help="include source metadata")
 
 
 def main(argv=None) -> int:

@@ -34,10 +34,6 @@ class AmbiguousFloor(PrecisionError):
         self.extra_digits_hint = extra_digits_hint
 
 
-class AmbiguousComparison(PrecisionError):
-    """A comparison falls inside the guard band and is refused."""
-
-
 class PrecisionTooLow(PrecisionError):
     """An input approximation is too coarse for the requested tolerance."""
 

@@ -262,6 +262,22 @@ def test_exit_4_on_interval_holding_several_roots(capsys):
     assert "3 distinct real roots" in err
 
 
+def test_exit_4_on_repeated_factor(capsys):
+    code, out, err = run_cli(
+        capsys,
+        ["expand", "alg:poly=-1,3,-3,1;elem=0,1;lo=0;hi=2", "--depth", "6"],
+    )
+    assert code == 4
+    assert out == ""
+    assert "repeated factor x^2 - 2*x + 1" in err
+
+
+def test_places_refused_where_unread():
+    with pytest.raises(SystemExit) as exc:
+        main(["period", "rat:7/4", "--places", "3"])
+    assert exc.value.code == 2
+
+
 def test_exit_5_on_tree_wrong_order(capsys):
     code, _, err = run_cli(capsys, ["tree", "--inline", "(1)", "--depth", "2"])
     assert code == 5

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from bcf.arith import GuardedDecimal
-from bcf.errors import AmbiguousComparison, AmbiguousFloor
+from bcf.errors import AmbiguousFloor
 
 
 def test_literal_parsing():
@@ -46,14 +46,6 @@ def test_floor_refused_when_possibly_integral():
     with pytest.raises(AmbiguousFloor) as exc:
         g.floor()
     assert exc.value.extra_digits_hint is None
-
-
-def test_comparison_refused_in_band():
-    g = GuardedDecimal.from_literal("1.8392", guard_digits=1)
-    assert g.compare_fraction(1) == 1
-    assert g.compare_fraction(2) == -1
-    with pytest.raises(AmbiguousComparison):
-        g.compare_fraction(Fraction("1.83921"))
 
 
 def test_reciprocal_propagates_band():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from bcf.errors import (
 SQRT2 = NumberField(IntPolynomial((-2, 0, 1)), 1, 2)
 GOLDEN = NumberField(IntPolynomial((-1, -1, 1)), 1, 2)
 TRIB = NumberField(IntPolynomial((-1, -1, -1, 1)), 1, 2)
+CBRT2 = NumberField(IntPolynomial((-2, 0, 0, 1)), 1, 2)
 QUARTIC = NumberField(IntPolynomial((-2, 0, 0, 0, 1)), 1, 2)
 
 
@@ -42,6 +44,13 @@ def test_construction_rejects_interval_holding_several_roots():
     for lo, hi in ((0, 1), (1, 3), (3, 5)):
         NumberField(cubic, lo, hi)
     NumberField(IntPolynomial((-1, 0, 1)), Fraction(1, 2), Fraction(3, 2))
+
+
+def test_construction_rejects_repeated_factor():
+    # (x - 1)^3 changes sign once on (0, 2), but Q[x]/((x - 1)^3) is no field
+    with pytest.raises(ReducibleModulus) as exc:
+        NumberField(IntPolynomial((-1, 3, -3, 1)), 0, 2)
+    assert exc.value.factor.coeffs == (1, -2, 1)
 
 
 def test_mul_theta_squared_is_two():
@@ -122,17 +131,35 @@ def test_floor_brackets_value():
         coords = [frac(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(3)]
         x = TRIB.element(coords)
         n = x.floor()
-        assert x.compare_fraction(n) >= 0
-        assert x.compare_fraction(n + 1) < 0
+        lo, hi = x.interval(frac(1, 10**30))
+        assert n <= lo
+        assert hi < n + 1
+
+
+def test_floor_matches_sympy_oracle():
+    # Independent oracle: the same element built on sympy's CRootOf.
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(17)
+    for field in (TRIB, CBRT2, QUARTIC):
+        lo, hi = field.root_interval
+        poly = sympy.Poly(list(reversed(field.modulus.coeffs)), x)
+        (root,) = [r for r in poly.real_roots(radicals=False) if lo < r < hi]
+        assert isinstance(root, sympy.CRootOf)
+        for _ in range(17):
+            coords = [frac(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(field.degree)]
+            value = sum(sympy.Rational(c.numerator, c.denominator) * root**k
+                        for k, c in enumerate(coords))
+            assert math.floor(field.element(coords)) == sympy.floor(value)
 
 
 def test_sign_and_compare():
     th = TRIB.theta()
-    assert th.sign() == 1
-    assert (th - 2).sign() == -1
-    assert (th - th).sign() == 0
-    assert th.compare_fraction(frac(9, 5)) == 1  # theta > 1.8
-    assert th.compare_fraction(frac(15, 8)) == -1  # theta < 1.875
+    assert (-th).floor() < 0
+    assert (th - 2).floor() < 0
+    assert th - th == 0
+    assert math.floor(frac(9, 5) - th) < 0  # theta > 1.8
+    assert math.floor(th - frac(15, 8)) < 0  # theta < 1.875
 
 
 def test_interval_brackets_and_shrinks():

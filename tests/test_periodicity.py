@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -143,7 +144,7 @@ def small_elements(draw):
     values = []
     for _ in range(draw(st.integers(1, 2))):
         x = field.element(draw(st.lists(coord, min_size=1, max_size=field.degree)))
-        values.append(-x if x.sign() < 0 else x)
+        values.append(-x if math.floor(x) < 0 else x)
     return values
 
 
