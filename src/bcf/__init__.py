@@ -21,7 +21,6 @@ from .closedform import (
     alpha_root_interval,
     beta_cubic,
     cubic_hunt,
-    verify_root,
 )
 from .evaluation import (
     DigitSpec,
@@ -41,7 +40,7 @@ from .periodicity import (
     apparent_digit_period,
     period_report,
 )
-from .sequences import kbonacci, ratio_limit
+from .sequences import kbonacci
 
 __version__ = "0.1.0"
 
@@ -58,7 +57,6 @@ __all__ = [
     "alpha_root_interval",
     "beta_cubic",
     "cubic_hunt",
-    "verify_root",
     "DigitSpec",
     "convergent",
     "convergent_table",
@@ -77,6 +75,5 @@ __all__ = [
     "apparent_digit_period",
     "period_report",
     "kbonacci",
-    "ratio_limit",
     "__version__",
 ]

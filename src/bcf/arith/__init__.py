@@ -1,8 +1,10 @@
 """Exact arithmetic backends: rationals, algebraic number fields, guarded decimals.
 
-All three value types answer ``math.floor(x)``, ``x - n``, ``x == 0``,
-``1 / x`` and ``x * y`` (for ``y`` of the same type), which is all the
-expansion loop asks of them.
+Rationals and field elements answer ``math.floor(x)``, ``x - n``,
+``x == 0``, ``1 / x`` and ``x * y`` (for ``y`` of the same type), which is
+all the expansion loop asks of them.  A guarded decimal only knows its
+bounds: the loop expands the exact rational corners of the box and
+certifies a digit when every corner floors to it.
 """
 
 from fractions import Fraction

@@ -6,8 +6,10 @@ value + radius].  Every decision that would depend on digits inside the
 band is refused instead of guessed, because a single wrong floor corrupts
 every later digit of an expansion.
 
-Parsed literals keep their mantissa/scale/guard fields; arithmetic results
-carry the propagated interval only.
+There is no interval arithmetic here: the expansion steps the exact
+corners of the input box (``bounds``) and asks ``floor`` only to word a
+refusal.  Parsed literals keep their mantissa/scale/guard fields; a value
+built from bounds carries the interval only.
 """
 
 from __future__ import annotations
@@ -88,55 +90,11 @@ class GuardedDecimal:
             extra_digits_hint=hint,
         )
 
-    __floor__ = floor
-
     def _extra_digits_to(self, n: int) -> int | None:
         gap = abs(self.value - n)
         if gap == 0:
             return None
         return max(1, ceil(log10(self.radius / gap)) + 1)
-
-    # -- interval arithmetic ---------------------------------------------------
-
-    def __sub__(self, n) -> "GuardedDecimal":
-        if not isinstance(n, (int, Fraction)):
-            return NotImplemented
-        return GuardedDecimal(self.value - n, self.radius)
-
-    def __rtruediv__(self, q) -> "GuardedDecimal":
-        if not isinstance(q, (int, Fraction)):
-            return NotImplemented
-        lo, hi = self.bounds()
-        if lo <= 0 <= hi:
-            raise AmbiguousFloor(
-                f"cannot invert {_approx(self.value)} +/- {_approx(self.radius)}: "
-                "the guard band reaches zero; supply more trusted digits"
-            )
-        ends = (q / lo, q / hi)
-        return _from_bounds(min(ends), max(ends))
-
-    def __mul__(self, other) -> "GuardedDecimal":
-        if not isinstance(other, GuardedDecimal):
-            return NotImplemented
-        a, b = self.bounds()
-        c, d = other.bounds()
-        products = (a * c, a * d, b * c, b * d)
-        return _from_bounds(min(products), max(products))
-
-
-def _from_bounds(lo: Fraction, hi: Fraction) -> GuardedDecimal:
-    # Round an endpoint outward to the dyadic grid of step 2^-k <= width/2^64
-    # when its denominator is finer than that grid.  Without this, exact
-    # endpoints grow ~1.6x in bits per step at order >= 2; with it they stay
-    # near 64 bits past the band's own scale, and the band widens by at most
-    # 2^-63 of its width per operation.
-    width = hi - lo
-    k = max(0, 65 + width.denominator.bit_length() - width.numerator.bit_length())
-    if lo.denominator >> k:
-        lo = Fraction(floor(lo * (1 << k)), 1 << k)
-    if hi.denominator >> k:
-        hi = Fraction(ceil(hi * (1 << k)), 1 << k)
-    return GuardedDecimal((lo + hi) / 2, (hi - lo) / 2)
 
 
 def _approx(q: Fraction) -> str:

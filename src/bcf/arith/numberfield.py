@@ -59,7 +59,8 @@ class NumberField:
         lo, hi = Fraction(lo), Fraction(hi)
         if not lo < hi:
             raise NonIsolatingInterval(f"empty interval [{lo}, {hi}]")
-        if modulus.sign_at(lo) * modulus.sign_at(hi) >= 0:
+        sign_lo = modulus.sign_at(lo)
+        if sign_lo * modulus.sign_at(hi) >= 0:
             raise NonIsolatingInterval(
                 f"{modulus.pretty()} has no sign change on [{lo}, {hi}]"
             )
@@ -70,6 +71,7 @@ class NumberField:
             )
         self.modulus = modulus
         self.root_interval = (lo, hi)
+        self.sign_lo = sign_lo  # sign of the modulus at lo, for bisection
 
     @property
     def degree(self) -> int:
@@ -248,10 +250,11 @@ class FieldElement:
         rational element yields ``a == b`` at once."""
         coords = qp_trim(self.coords)
         lo, hi = self.field.root_interval
+        s_lo = self.field.sign_lo
         for _ in range(_MAX_REFINE):
             a, b = eval_interval(coords, lo, hi)
             yield a, b, lo, hi
-            lo, hi = bisect_once(self.field.modulus, lo, hi)
+            lo, hi, s_lo = bisect_once(self.field.modulus, lo, hi, s_lo)
         raise NonIsolatingInterval("root refinement failed to converge")
 
     def interval(self, width) -> tuple[Fraction, Fraction]:

@@ -93,28 +93,34 @@ def eval_interval(coeffs: Sequence, lo: Fraction, hi: Fraction) -> tuple[Fractio
     return acc_lo, acc_hi
 
 
-def bisect_once(poly: IntPolynomial, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+def bisect_once(
+    poly: IntPolynomial, lo: Fraction, hi: Fraction, s_lo: int
+) -> tuple[Fraction, Fraction, int]:
     """One bisection step preserving the sign change of ``poly`` on (lo, hi).
 
-    Assumes the endpoints carry strictly opposite signs.  If the midpoint
-    is an exact root the interval is shrunk symmetrically around it instead.
+    ``s_lo`` is the sign of ``poly`` at ``lo``, strictly opposite to its
+    sign at ``hi``; it comes back with the new bracket.  Only the midpoint
+    is evaluated: a bracket moves its left end to a midpoint of the same
+    sign.  If the midpoint is an exact root the interval is shrunk
+    symmetrically around it instead, and the sign at the new left end is
+    evaluated, since other roots in the bracket may flip it.
     """
     mid = (lo + hi) / 2
-    s_lo = poly.sign_at(lo)
     s_mid = poly.sign_at(mid)
     if s_mid == 0:
         return _shrink_around_root(poly, lo, hi, mid)
     if s_mid == s_lo:
-        return mid, hi
-    return lo, mid
+        return mid, hi, s_lo
+    return lo, mid, s_lo
 
 
 def _shrink_around_root(poly: IntPolynomial, lo: Fraction, hi: Fraction, root: Fraction):
     eps = min(hi - root, root - lo) / 2
     for _ in range(64):
         a, b = root - eps, root + eps
-        if poly.sign_at(a) * poly.sign_at(b) < 0:
-            return a, b
+        s_a = poly.sign_at(a)
+        if s_a * poly.sign_at(b) < 0:
+            return a, b, s_a
         eps /= 2
     raise NoSignChange(
         f"exact root at {root} has no sign change across it (even multiplicity?)"
@@ -136,10 +142,11 @@ def refine_root(
     width = Fraction(width)
     if width <= 0:
         raise ValueError("width must be positive")
-    if poly.sign_at(lo) * poly.sign_at(hi) >= 0:
+    s_lo = poly.sign_at(lo)
+    if s_lo * poly.sign_at(hi) >= 0:
         raise NoSignChange(f"no sign change of {poly} on [{lo}, {hi}]")
     while hi - lo > width:
-        lo, hi = bisect_once(poly, lo, hi)
+        lo, hi, s_lo = bisect_once(poly, lo, hi, s_lo)
     return lo, hi
 
 

@@ -1,13 +1,16 @@
 """Closed-form polynomials of period-1 expansions and a brute-force
 integer-cubic probe.
 
-A constant digit pair (a, b) with a >= 1 fixes the expanded pair (alpha,
-beta) as roots of
+The constant digit pair (a, b) with a >= 1 has as convergent limit the
+pair (alpha, beta = b + 1/alpha), with alpha the root > 1 of
 
     alpha^3 = a*alpha^2 + b*alpha + 1
-    beta^3  = 2b*beta^2 - (a + b^2)*beta + (ab + 1)
+    beta^3  = 2b*beta^2 - (a + b^2)*beta + (ab + 1).
 
-and the all-ones spec of order m fixes x^(m+1) = x^m + ... + x + 1.
+That pair expands back to the constant digits (a, b) exactly when b <= a
+(checked for a <= 6, b <= 8); for b > a, floor(alpha) exceeds a.  The
+alpha cubic is reducible exactly when b = a + 2: then x + 1 divides it.
+The all-ones spec of order m fixes x^(m+1) = x^m + ... + x + 1.
 """
 
 from __future__ import annotations
@@ -60,12 +63,6 @@ def alpha_root_interval(a: int, b: int) -> tuple[Fraction, Fraction]:
     while poly.sign_at(lo) * poly.sign_at(hi) >= 0:
         hi += 1
     return lo, hi
-
-
-def verify_root(poly: IntPolynomial, value) -> Fraction:
-    """|poly(value)| as an exact rational; the caller compares it to a
-    tolerance."""
-    return abs(poly(Fraction(value)))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,8 @@ class PrecisionError(BcfError):
 
 
 class AmbiguousFloor(PrecisionError):
-    """A guarded decimal sits within its guard band of an integer.
+    """The guard band of a decimal input could change a digit: a value sits
+    within its band of an integer, or a corner of the band terminates.
 
     ``extra_digits_hint`` estimates how many more trusted digits would
     resolve the floor; ``None`` when the value may be exactly integral.

@@ -1,12 +1,10 @@
-"""k-bonacci integer sequences and their limiting term ratios.
+"""k-bonacci integer sequences.
 
 Seeds are k-1 zeros followed by a one; each later term is the sum of the
 previous k terms.  k=2 is Fibonacci, k=3 Tribonacci, k=4 Tetranacci.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 
 def kbonacci(k: int, n: int) -> list[int]:
@@ -19,31 +17,3 @@ def kbonacci(k: int, n: int) -> list[int]:
     while len(terms) < n:
         terms.append(sum(terms[-k:]))
     return terms[:n]
-
-
-def ratio_limit(k: int, tol) -> Fraction:
-    """t_{n+1}/t_n once three successive ratio differences fall below tol.
-
-    A single small difference is not enough: while the sum window still
-    contains the seed, terms double exactly and the ratio sticks at 2 for
-    about k steps.  Ratios are therefore ignored for the first 2k terms
-    and three consecutive small differences are required after that.
-    """
-    tol = Fraction(tol)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    terms = [0] * (k - 1) + [1]
-    prev_ratio: Fraction | None = None
-    streak = 0
-    while True:
-        terms.append(sum(terms[-k:]))
-        if terms[-2] == 0:
-            continue
-        ratio = Fraction(terms[-1], terms[-2])
-        if prev_ratio is not None and len(terms) > 2 * k:
-            streak = streak + 1 if abs(ratio - prev_ratio) < tol else 0
-            if streak == 3:
-                return ratio
-        prev_ratio = ratio

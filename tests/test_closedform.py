@@ -2,17 +2,17 @@ from fractions import Fraction
 
 import pytest
 
-from bcf.arith import IntPolynomial, refine_root
+from bcf.arith import IntPolynomial, NumberField, refine_root
 from bcf.closedform import (
     allones_poly,
     alpha_cubic,
     alpha_root_interval,
     beta_cubic,
     cubic_hunt,
-    verify_root,
 )
 from bcf.errors import PrecisionTooLow
 from bcf.evaluation import DigitSpec, reconstruct
+from bcf.expansion import expand
 
 
 def tol(exp10: int) -> Fraction:
@@ -53,9 +53,9 @@ def test_allones_poly():
 
 
 def test_verify_root_exact_values():
-    assert verify_root(alpha_cubic(1, 1), Fraction(24, 13)) == Fraction(83, 2197)
-    assert verify_root(IntPolynomial((-1, -1, 1)), Fraction(8, 5)) == Fraction(1, 25)
-    assert verify_root(alpha_cubic(1, 0), Fraction(1)) == 1
+    assert abs(alpha_cubic(1, 1)(Fraction(24, 13))) == Fraction(83, 2197)
+    assert abs(IntPolynomial((-1, -1, 1))(Fraction(8, 5))) == Fraction(1, 25)
+    assert abs(alpha_cubic(1, 0)(Fraction(1))) == 1
 
 
 def test_alpha_root_interval_brackets():
@@ -84,6 +84,18 @@ def test_root_agrees_with_reconstruction_grid():
                 beta_cubic(a, b), (beta - Fraction(1, 100), beta + Fraction(1, 100)), tol(12)
             )
             assert abs(beta - (b_lo + b_hi) / 2) < tol(8)
+
+
+def test_period1_pair_expands_to_its_digits_exactly_when_b_at_most_a():
+    for a in range(1, 7):
+        for b in range(9):
+            poly = alpha_cubic(a, b)
+            if b == a + 2:
+                assert poly(-1) == 0  # x + 1 divides it: no field to expand in
+                continue
+            alpha = NumberField(poly, *alpha_root_interval(a, b)).theta()
+            exp = expand([alpha, b + alpha.inverse()], 10)
+            assert (exp.digits == ((a,) * 10, (b,) * 10)) == (b <= a), (a, b)
 
 
 def test_allones_root_matches_reconstruction():

