@@ -83,7 +83,7 @@ class GuardedDecimal:
             f"value {_approx(self.value)} is within +/-{_approx(self.radius)} "
             f"of integer {fhi}; "
             + (
-                f"supply at least {hint} more trusted digit(s)"
+                f"about {hint} more trusted digit(s) may resolve it"
                 if hint is not None
                 else "the value may be exactly integral"
             ),

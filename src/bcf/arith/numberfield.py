@@ -3,18 +3,24 @@
 A field is Q[x]/(p) for a monic integer polynomial p of degree >= 2,
 pinned to one real root of p by an isolating rational interval.  Elements
 are coordinate vectors in the power basis 1, theta, ..., theta^(d-1) with
-rational entries.  Floors and enclosures come from one refinement loop:
-bisect the root interval and evaluate the residue on each bracket by
-interval Horner, until the enclosure settles the question.  A floor whose
-enclosure keeps straddling an integer is settled by an exact gcd test,
-because the value may be that integer.
+rational entries.  Products and inverses are the shared rational polynomial
+helpers, reduced modulo p.
+
+Each field keeps one isolating bracket of theta, the tightest found so
+far, and owns the one refinement loop: floors and enclosures evaluate the
+residue on the bracket by interval Horner and bisect it, storing every
+bisection back on the field, until the enclosure settles the question.
+The bracket only ever shrinks, so later decisions start where earlier ones
+stopped instead of at the user's interval.  A floor whose enclosure keeps
+straddling an integer is settled by an exact gcd test, because the value
+may be that integer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import floor
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from ..errors import (
     MixedFields,
@@ -28,7 +34,9 @@ from .polynomials import (
     bisect_once,
     eval_interval,
     qp_deg,
+    qp_divmod,
     qp_ext_gcd,
+    qp_mul,
     qp_primitive_int,
     qp_trim,
     root_count,
@@ -71,7 +79,19 @@ class NumberField:
             )
         self.modulus = modulus
         self.root_interval = (lo, hi)
-        self.sign_lo = sign_lo  # sign of the modulus at lo, for bisection
+        self.bracket = (lo, hi, sign_lo)  # tightest known; sign of modulus at lo
+        self._qmodulus = chain[0]  # the modulus as rationals, for residues
+
+    def brackets(self):
+        """Yield isolating brackets ``(lo, hi)`` of theta, the first one the
+        field's current bracket and each next one a bisection of the
+        bracket then current, which is stored back on the field."""
+        for _ in range(_MAX_REFINE):
+            yield self.bracket[:2]
+            # Read afresh: a decision interleaved with this one may have
+            # tightened the bracket meanwhile.
+            self.bracket = bisect_once(self.modulus, *self.bracket)
+        raise NonIsolatingInterval("root refinement failed to converge")
 
     @property
     def degree(self) -> int:
@@ -134,6 +154,8 @@ class FieldElement:
         return NotImplemented
 
     def __hash__(self) -> int:
+        if not any(self.coords[1:]):
+            return hash(self.coords[0])  # equal to that rational
         return hash((self.field, self.coords))
 
     def __repr__(self) -> str:
@@ -174,19 +196,11 @@ class FieldElement:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return FieldElement(self.field, tuple(a * other for a in self.coords))
-        if not isinstance(other, FieldElement):
+        rhs = self._coerce(other)
+        if rhs is None:
             return NotImplemented
-        self._check_field(other)
-        d = self.field.degree
-        prod = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(self.coords):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coords):
-                prod[i + j] += a * b
-        return FieldElement(self.field, _reduce_mod(prod, self.field.modulus))
+        prod = qp_mul(self.coords, rhs.coords)
+        return self.field.element(qp_divmod(prod, self.field._qmodulus)[1])
 
     __rmul__ = __mul__
 
@@ -222,40 +236,31 @@ class FieldElement:
         return self.field.element(inv)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroInverse("division by rational zero")
-            return self * (1 / Fraction(other))
-        if not isinstance(other, FieldElement):
+        rhs = self._coerce(other)
+        if rhs is None:
             return NotImplemented
-        self._check_field(other)
-        return self * other.inverse()
+        return self * rhs.inverse()
 
     def __rtruediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            inv = self.inverse()
-            return inv if other == 1 else inv * other
-        return NotImplemented
+        lhs = self._coerce(other)
+        if lhs is None:
+            return NotImplemented
+        return lhs * self.inverse()
 
     def _gcd_with_modulus(self):
         """(g, u): g = gcd(residue, modulus) and u * residue == g (mod modulus)."""
-        mod_poly = tuple(Fraction(c) for c in self.field.modulus.coeffs)
-        return qp_ext_gcd(self.coords, mod_poly)
+        return qp_ext_gcd(self.coords, self.field._qmodulus)
 
     # -- order decisions -----------------------------------------------------
 
     def _enclosures(self):
         """Yield ``(a, b, lo, hi)``: the value lies in [a, b] because theta
-        lies in (lo, hi), each bracket a bisection of the one before; a
-        rational element yields ``a == b`` at once."""
+        lies in (lo, hi), one per bracket of the field; a rational element
+        yields ``a == b`` at once."""
         coords = qp_trim(self.coords)
-        lo, hi = self.field.root_interval
-        s_lo = self.field.sign_lo
-        for _ in range(_MAX_REFINE):
+        for lo, hi in self.field.brackets():
             a, b = eval_interval(coords, lo, hi)
             yield a, b, lo, hi
-            lo, hi, s_lo = bisect_once(self.field.modulus, lo, hi, s_lo)
-        raise NonIsolatingInterval("root refinement failed to converge")
 
     def interval(self, width) -> tuple[Fraction, Fraction]:
         """Exact rational bounds on the value, at most ``width`` apart."""
@@ -287,20 +292,3 @@ class FieldElement:
         # constant gcd changes sign nowhere).
         gpoly = qp_primitive_int(self._gcd_with_modulus()[0])
         return gpoly.sign_at(lo) * gpoly.sign_at(hi) < 0
-
-
-def _reduce_mod(prod: Sequence[Fraction], modulus: IntPolynomial) -> tuple[Fraction, ...]:
-    d = modulus.degree
-    rem = list(prod)
-    for i in range(len(rem) - 1, d - 1, -1):
-        c = rem[i]
-        if c == 0:
-            continue
-        # modulus is monic: x^i == -sum_{j<d} m_j x^(i-d+j)
-        for j in range(d):
-            rem[i - d + j] -= c * modulus.coeffs[j]
-        rem[i] = Fraction(0)
-    rem = rem[:d]
-    rem += [Fraction(0)] * (d - len(rem))
-    return tuple(rem)
-

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 parse/usage error, 3 precision failure,
-4 algebra failure, 5 unsupported request.  JSON output never carries
+4 algebra failure, 5 unsupported request; each error family in ``errors``
+carries its code as ``exit_code``.  JSON output never carries
 binary floating point: exact quantities are decimal strings of integers
 or fractions, and decimal renderings always state their precision.
 """
@@ -16,13 +17,7 @@ from fractions import Fraction
 from . import __version__
 from .arith import GuardedDecimal
 from .closedform import allones_poly, alpha_cubic, beta_cubic, cubic_hunt
-from .errors import (
-    AlgebraError,
-    BcfError,
-    ParseError,
-    PrecisionError,
-    UnsupportedError,
-)
+from .errors import BcfError, ParseError
 from .evaluation import DigitSpec, convergent_table, render_tree
 from .expansion import expand
 from .formats import (
@@ -120,21 +115,9 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         handler(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PrecisionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except AlgebraError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except UnsupportedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
     except BcfError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

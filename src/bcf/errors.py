@@ -1,17 +1,19 @@
 """Exception taxonomy.
 
-The four base classes mirror the CLI exit codes: parse errors exit 2,
-precision failures exit 3, algebra failures exit 4, unsupported requests
-exit 5.
+The four base classes carry the CLI exit codes as ``exit_code``: parse
+errors exit 2, precision failures exit 3, algebra failures exit 4,
+unsupported requests exit 5, and any other ``BcfError`` exits 1.
 """
 
 
 class BcfError(Exception):
-    pass
+    exit_code = 1
 
 
 class ParseError(BcfError):
     """Malformed value spec, digit file, or out-of-range request."""
+
+    exit_code = 2
 
 
 class InsufficientDigits(ParseError):
@@ -20,6 +22,8 @@ class InsufficientDigits(ParseError):
 
 class PrecisionError(BcfError):
     """The available precision cannot support the requested decision."""
+
+    exit_code = 3
 
 
 class AmbiguousFloor(PrecisionError):
@@ -44,7 +48,7 @@ class NoConvergence(PrecisionError):
 
 
 class AlgebraError(BcfError):
-    pass
+    exit_code = 4
 
 
 class MixedFields(AlgebraError):
@@ -79,7 +83,7 @@ class NoSignChange(AlgebraError):
 
 
 class UnsupportedError(BcfError):
-    pass
+    exit_code = 5
 
 
 class UnsupportedOrder(UnsupportedError):

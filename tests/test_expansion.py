@@ -200,26 +200,35 @@ def test_guarded_order2_refuses_when_fraction_band_reaches_zero():
         expand_step(ExpansionState((x1, x2), 0))
 
 
-def certified_moore_steps(alpha: str, beta: str) -> int:
+def moore_refusal(alpha: str, beta: str) -> tuple[int, AmbiguousFloor]:
     """Steps a guard=2 Moore pair certifies, each checked against the
-    exact expansion, before it refuses."""
+    exact expansion, and the refusal that ends them."""
     box = (GuardedDecimal.from_literal(alpha, 2), GuardedDecimal.from_literal(beta, 2))
     exact = expand([MOORE.theta(), MOORE.theta().inverse()], 200)
     state, steps = ExpansionState(box, 0), 0
-    with pytest.raises(AmbiguousFloor):
+    with pytest.raises(AmbiguousFloor) as exc:
         while True:
             digits, state = expand_step(state)
             assert digits == tuple(seq[steps] for seq in exact.digits)
             steps += 1
-    return steps
+    return steps, exc.value
 
 
 def test_guarded_order2_certifies_moore_prefix_then_refuses():
-    assert certified_moore_steps("1.46557123187676802665", "0.68232780382801932737") == 70
+    assert moore_refusal("1.46557123187676802665", "0.68232780382801932737")[0] == 70
 
 
 def test_guarded_order2_ten_digit_moore_pair_certifies_thirty():
-    assert certified_moore_steps("1.4655712318", "0.6823278038") == 30
+    assert moore_refusal("1.4655712318", "0.6823278038")[0] == 30
+
+
+def test_refusal_hint_is_an_estimate_not_a_bound():
+    # Asked for "about 2" more digits, one more digit each already
+    # certifies four more tuples.
+    steps, refusal = moore_refusal("1.4655712318767680266", "0.68232780382801932736")
+    assert (steps, refusal.extra_digits_hint) == (67, 2)
+    assert "about 2 more trusted digit(s) may resolve it" in str(refusal)
+    assert moore_refusal("1.46557123187676802665", "0.682327803828019327369")[0] == 71
 
 
 def test_guarded_refusal_order_and_hint():
@@ -233,7 +242,7 @@ def test_guarded_refusal_order_and_hint():
     with pytest.raises(AmbiguousFloor) as exc:
         expand([g], 9)
     assert exc.value.extra_digits_hint == 2
-    assert "of integer 3; supply at least 2 more trusted digit(s)" in str(exc.value)
+    assert "of integer 3; about 2 more trusted digit(s) may resolve it" in str(exc.value)
     assert len(expand([GuardedDecimal.from_literal("1.8392867552141611", 2)], 9)) == 9
 
 

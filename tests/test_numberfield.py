@@ -1,10 +1,14 @@
+import functools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcf.arith import IntPolynomial, NumberField
+from bcf.arith.polynomials import root_count, sturm_chain
 from bcf.errors import (
     MixedFields,
     NonIsolatingInterval,
@@ -12,6 +16,7 @@ from bcf.errors import (
     ReducibleModulus,
     ZeroInverse,
 )
+from bcf.expansion import expand
 
 SQRT2 = NumberField(IntPolynomial((-2, 0, 1)), 1, 2)
 GOLDEN = NumberField(IntPolynomial((-1, -1, 1)), 1, 2)
@@ -189,3 +194,71 @@ def test_division_and_pow():
     assert th / th == TRIB.one()
     assert (1 / th) * th == TRIB.one()
     assert ((th * th - th) / th) == th - 1
+
+
+def test_rational_element_hashes_as_its_rational():
+    x = NumberField(IntPolynomial((-2, 0, 1)), 1, 2).element([3])
+    assert x == 3 and hash(x) == hash(3) == hash(Fraction(3))
+    assert len({x, 3}) == 1
+    half = SQRT2.element([frac(1, 2)])
+    assert hash(half) == hash(frac(1, 2))
+    assert len({half, frac(1, 2), SQRT2.element([frac(1, 2)])}) == 1
+
+
+def assert_bracket_isolates(field):
+    lo, hi, s_lo = field.bracket
+    root_lo, root_hi = field.root_interval
+    assert root_lo <= lo < hi <= root_hi
+    assert field.modulus.sign_at(lo) == s_lo
+    assert s_lo * field.modulus.sign_at(hi) < 0
+    assert root_count(sturm_chain(field.modulus), lo, hi) == 1
+
+
+def test_interleaved_decisions_only_tighten_the_bracket():
+    field = NumberField(CBRT2.modulus, 1, 2)
+    first = field.theta()._enclosures()
+    second = (field.theta() ** 2)._enclosures()
+    widths = []
+    for gen in [first, first, first, second] * 10:  # second falls behind
+        _, _, lo, hi = next(gen)
+        assert (lo, hi) == field.bracket[:2]
+        widths.append(hi - lo)
+    assert widths == sorted(widths, reverse=True)
+    assert widths[-1] < frac(1, 2**30)
+    assert_bracket_isolates(field)
+
+
+@functools.cache
+def refined_field(modulus):
+    """A field of its own whose bracket a deep expansion already refined."""
+    field = NumberField(modulus, 1, 2)
+    expand([field.theta()], 150)
+    return field
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([TRIB.modulus, CBRT2.modulus, QUARTIC.modulus]),
+    st.lists(st.lists(st.fractions(-9, 9, max_denominator=9), min_size=4, max_size=4),
+             min_size=1, max_size=2),
+)
+def test_decisions_do_not_depend_on_the_bracket_they_start_from(modulus, rows):
+    refined = refined_field(modulus)
+    fresh = NumberField(modulus, 1, 2)
+    tight = frac(1, 10**12)
+    runs, intervals = [], []
+    for field in (fresh, refined):
+        xs = [field.element(row[: field.degree]) for row in rows]
+        floors = [math.floor(x) for x in xs]
+        intervals.append([x.interval(tight) for x in xs])
+        xs = [x if n >= 0 else -x for x, n in zip(xs, floors)]
+        exp = expand(xs, 12)
+        runs.append((floors, exp.digits, exp.terminated_at, exp.recurrence))
+        assert_bracket_isolates(field)
+    assert runs[0] == runs[1]
+    # Enclosures depend on the bracket they come from, but both hold the
+    # value: each is narrow enough and they overlap within the floor's cell.
+    for n, (a, b), (c, d) in zip(runs[0][0], *intervals):
+        assert b - a <= tight and d - c <= tight
+        assert max(a, c) <= min(b, d)
+        assert n <= max(b, d) and min(a, c) < n + 1

@@ -1,5 +1,8 @@
 import ast
+import io
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -7,10 +10,17 @@ from pathlib import Path
 import pytest
 
 import bcf
-from bcf import errors
+from bcf import cli, errors
 from bcf.cli import main
 
 ARGV = ["expand", "rat:7/4", "--depth", "10"]
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+FAMILY_CODES = {
+    errors.ParseError: 2,
+    errors.PrecisionError: 3,
+    errors.AlgebraError: 4,
+    errors.UnsupportedError: 5,
+}
 
 
 def test_every_exported_name_resolves():
@@ -18,11 +28,14 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
-def test_every_leaf_error_is_raised():
+def leaf_errors():
     classes = [c for c in vars(errors).values()
                if isinstance(c, type) and c.__module__ == errors.__name__]
-    leaves = {c.__name__ for c in classes
-              if not any(o is not c and issubclass(o, c) for o in classes)}
+    return [c for c in classes if not any(o is not c and issubclass(o, c) for o in classes)]
+
+
+def test_every_leaf_error_is_raised():
+    leaves = {c.__name__ for c in leaf_errors()}
     raised = set()
     for path in Path(bcf.__file__).parent.rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -46,3 +59,35 @@ def test_module_entry_points_match_main(module, capsys):
         timeout=60,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")
+
+
+@pytest.mark.parametrize("leaf", leaf_errors(), ids=lambda c: c.__name__)
+def test_cli_exits_with_the_family_code_of_every_leaf_error(leaf, monkeypatch, capsys):
+    def fail(args):
+        raise leaf("injected")
+
+    monkeypatch.setattr(cli, "cmd_kbonacci", fail)
+    (code,) = {c for base, c in FAMILY_CODES.items() if issubclass(leaf, base)}
+    assert main(["kbonacci", "--k", "3", "--n", "5"]) == code
+    assert capsys.readouterr().err == "error: injected\n"
+
+
+def readme_blocks(lang):
+    return re.findall(rf"^```{lang}\n(.*?)^```", README, re.M | re.S)
+
+
+def test_readme_quick_tour_runs():
+    (tour,) = readme_blocks("python")
+    exec(compile(tour, "README.md", "exec"), {})
+
+
+def test_readme_commands_exit_zero(monkeypatch, capsys):
+    lines = "\n".join(readme_blocks("sh")).replace("\\\n", " ").splitlines()
+    commands = [line.split("#")[0] for line in lines if line.startswith("bcf ")]
+    assert len(commands) == 11
+    for command in commands:
+        stdin = ""
+        for stage in command.split("|"):  # a pipe feeds stdout to the next stage
+            monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+            assert main(shlex.split(stage)[1:]) == 0, stage
+            stdin = capsys.readouterr().out
