@@ -3,8 +3,8 @@
 Rationals and field elements answer ``math.floor(x)``, ``x - n``,
 ``x == 0``, ``1 / x`` and ``x * y`` (for ``y`` of the same type), which is
 all the expansion loop asks of them.  A guarded decimal only knows its
-bounds: the loop expands the exact rational corners of the box and
-certifies a digit when every corner floors to it.
+bounds: the loop steps integer linear forms over the box and certifies
+a digit when every point of the box floors to it.
 """
 
 from fractions import Fraction

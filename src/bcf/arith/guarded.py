@@ -6,8 +6,8 @@ value + radius].  Every decision that would depend on digits inside the
 band is refused instead of guessed, because a single wrong floor corrupts
 every later digit of an expansion.
 
-There is no interval arithmetic here: the expansion steps the exact
-corners of the input box (``bounds``) and asks ``floor`` only to word a
+There is no interval arithmetic here: the expansion steps integer linear
+forms over the input box (``bounds``) and asks ``floor`` only to word a
 refusal.  Parsed literals keep their mantissa/scale/guard fields; a value
 built from bounds carries the interval only.
 """

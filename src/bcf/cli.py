@@ -232,10 +232,7 @@ def cmd_closed_form(args):
     else:
         if args.a is None or args.b is None:
             raise ParseError("closed-form needs --a and --b (or --all-ones --order M)")
-        try:
-            poly = alpha_cubic(args.a, args.b) if args.which == "alpha" else beta_cubic(args.a, args.b)
-        except ValueError as exc:
-            raise ParseError(str(exc)) from None
+        poly = alpha_cubic(args.a, args.b) if args.which == "alpha" else beta_cubic(args.a, args.b)
         kind = args.which
     if args.format == "json":
         payload = {
@@ -254,10 +251,7 @@ def cmd_closed_form(args):
 
 
 def cmd_kbonacci(args):
-    try:
-        terms = kbonacci(args.k, args.n)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    terms = kbonacci(args.k, args.n)
     if args.format == "json":
         _emit_json({"k": args.k, "n": args.n, "terms": [str(t) for t in terms]})
     else:
@@ -293,10 +287,7 @@ def cmd_cubic_hunt(args):
         v, err = value, Fraction(0)
     else:
         raise ParseError("cubic-hunt takes a dec: or rat: value")
-    try:
-        hits = cubic_hunt(v, args.height, tol, value_error=err)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    hits = cubic_hunt(v, args.height, tol, value_error=err)
     if args.format == "json":
         payload = {
             "height": args.height,

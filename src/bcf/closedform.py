@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import floor, gcd
 
 from .arith.polynomials import IntPolynomial
 from .errors import PrecisionTooLow
@@ -102,7 +102,7 @@ def cubic_hunt(
     v1 = value
     v2 = v1 * v1
     v3 = v2 * v1
-    half = Fraction(1, 2)
+    span = floor(tol + Fraction(1, 2))  # |s + c0| < tol puts c0 within span of -round(s)
     found: list[CubicCandidate] = []
     for c3 in range(1, height + 1):
         t3 = c3 * v3
@@ -110,12 +110,8 @@ def cubic_hunt(
             t32 = t3 + c2 * v2
             for c1 in range(-height, height + 1):
                 s = t32 + c1 * v1
-                if tol < half:
-                    # |s + c0| < tol < 1/2 admits at most one integer c0.
-                    candidates = (-round(s),)
-                else:
-                    candidates = range(-height, height + 1)
-                for c0 in candidates:
+                r = -round(s)
+                for c0 in range(r - span, r + span + 1):
                     if abs(c0) > height:
                         continue
                     residual = abs(s + c0)

@@ -21,24 +21,20 @@ the state is a projective image v_k/v_0 of the inputs, v = S * (1, x_1,
 ..., x_m) for an integer matrix S, so each digit condition
 a <= v_k/v_0 < a + 1 is a pair of linear inequalities: the set of inputs
 sharing a prefix is convex, and the box lies in it exactly when its 2^m
-corners do.  A guarded step therefore runs the exact rational step on
-every corner and certifies a digit only when all corners agree on it.
+corners do: when the least of v_k - a*v_0 is >= 0 and of (a+1)*v_0 - v_k
+is > 0, each read off its coefficient signs.  A guarded step steps v alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import cycle, islice, product
-from math import floor
+from itertools import cycle, islice
+from math import floor, lcm
 from typing import Sequence
 
 from .arith import FieldElement, GuardedDecimal, RealValue
-from .errors import AmbiguousFloor, MixedFields, NegativeInput, UnsupportedOrder
-
-# A guarded step runs 2^m exact corner steps: ~0.07 s per step at order 10
-# with 20-digit literals (~0.35 s at order 12), and memory grows as fast.
-_MAX_GUARDED_ORDER = 10
+from .errors import AmbiguousFloor, MixedFields, NegativeInput
 
 
 @dataclass(frozen=True)
@@ -46,14 +42,13 @@ class ExpansionState:
     """The value tuple entering step ``step``; equality of ``values`` across
     steps proves a period.
 
-    For guarded inputs ``values`` stays the input box and ``corners`` holds
-    the exact images of its 2^m corners after ``step`` steps (None at step
-    0, where they are the box's own corners).
+    For guarded inputs ``values`` stays the input box and ``forms`` holds
+    its integer forms D*v after ``step`` steps (None at step 0: ``_box_forms``).
     """
 
     values: tuple[RealValue, ...]
     step: int
-    corners: tuple[tuple[Fraction, ...], ...] | None = None
+    forms: tuple[tuple[int, ...], ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -86,37 +81,60 @@ def expand_step(state: ExpansionState) -> tuple[tuple[int, ...], ExpansionState 
     """One expansion step: the digit tuple and the next state (None on
     exact termination)."""
     if isinstance(state.values[0], GuardedDecimal):
-        return _corner_step(state)
+        return _forms_step(state)
     digits = tuple(floor(v) for v in state.values)
     _check_nonnegative(digits, state.step)
     nxt = _advance(state.values, digits)
     return digits, None if nxt is None else ExpansionState(nxt, state.step + 1)
 
 
-def _corner_step(state: ExpansionState) -> tuple[tuple[int, ...], ExpansionState]:
-    """Step every exact corner of a guarded box; refuse unless all corners
-    floor alike and none terminates."""
-    if len(state.values) > _MAX_GUARDED_ORDER:
-        raise UnsupportedOrder(
-            f"guarded decimals expand by the 2^m corners of their box; order "
-            f"{len(state.values)} exceeds {_MAX_GUARDED_ORDER}"
-        )
-    corners = state.corners or tuple(product(*(v.bounds() for v in state.values)))
-    rows = [tuple(floor(v) for v in c) for c in corners]
-    digits = rows[0]
-    for k, d in enumerate(digits):
-        if any(r[k] != d for r in rows):
-            # The corners floor apart, so the floor of their hull refuses.
-            lo, hi = min(c[k] for c in corners), max(c[k] for c in corners)
+def _forms_step(state: ExpansionState) -> tuple[tuple[int, ...], ExpansionState]:
+    """Step the integer forms of a guarded box; refuse unless the whole box
+    floors alike and no point of it terminates."""
+    v0, *vs = state.forms or _box_forms(state.values)
+    digits = tuple(v[0] // v0[0] for v in vs)  # the floors at the all-low corner
+    rests = [tuple(c - a * c0 for c, c0 in zip(v, v0)) for v, a in zip(vs, digits)]
+    for v, rest in zip(vs, rests):
+        if _least(rest) < 0 or _least([c0 - c for c, c0 in zip(rest, v0)]) <= 0:
+            # The box floors apart, so the floor of its hull refuses.
+            lo, hi = _ratio_end(v, v0, 1), _ratio_end(v, v0, -1)
             GuardedDecimal((lo + hi) / 2, (hi - lo) / 2).floor()
     _check_nonnegative(digits, state.step)
-    nexts = [_advance(c, digits) for c in corners]
-    if None in nexts:
+    if _least(rests[-1]) == 0:
         raise AmbiguousFloor(
             f"component {len(digits)} at step {state.step} may have fractional "
             "part exactly zero: the guard band reaches zero; supply more trusted digits"
         )
-    return digits, ExpansionState(state.values, state.step + 1, tuple(nexts))
+    return digits, ExpansionState(state.values, state.step + 1, (rests[-1], v0, *rests[:-1]))
+
+
+def _box_forms(box) -> tuple[tuple[int, ...], ...]:
+    """D*(1, x_1, ..., x_m) in the coordinates (1, t_1, ..., t_m) of the unit
+    cube, x_j = lo_j + t_j*(hi_j - lo_j), D the lcm of the bound denominators."""
+    bounds = [g.bounds() for g in box]
+    d = lcm(*(b.denominator for pair in bounds for b in pair))
+    return ((d,) + (0,) * len(box),) + tuple(
+        (int(lo * d),) + tuple(int((hi - lo) * d) * (j == k) for j in range(len(box)))
+        for k, (lo, hi) in enumerate(bounds)
+    )
+
+
+def _least(row) -> int:
+    """The least value of a form over the unit cube."""
+    return row[0] + sum(c for c in row[1:] if c < 0)
+
+
+def _ratio_end(num, den, sign: int) -> Fraction:
+    """The exact minimum (sign 1) or maximum (sign -1) of num/den over the unit
+    cube, den > 0, by Dinkelbach's iteration: from a corner of ratio p/q, go to
+    the corner minimising sign*(q*num - p*den) until that minimum is 0."""
+    p, q = num[0], den[0]
+    while True:
+        pick = [sign * (q * n - p * e) < 0 for n, e in zip(num[1:], den[1:])]
+        p2, q2 = (row[0] + sum(c for c, t in zip(row[1:], pick) if t) for row in (num, den))
+        if p2 * q == p * q2:
+            return Fraction(p, q)
+        p, q = p2, q2
 
 
 def _check_nonnegative(digits: tuple[int, ...], step: int):

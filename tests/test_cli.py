@@ -169,6 +169,12 @@ def test_kbonacci(capsys):
     assert out == "0 0 1 1 2 4 7 13 24 44\n"
 
 
+def test_kbonacci_json(capsys):
+    code, out, _ = run_cli(capsys, ["kbonacci", "--k", "3", "--n", "6", "--format", "json"])
+    assert code == 0
+    assert no_floats(out) == {"k": 3, "n": 6, "terms": ["0", "0", "1", "1", "2", "4"]}
+
+
 def test_period_command(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -208,7 +214,67 @@ def test_cubic_hunt_lists_tribonacci(capsys):
     assert out.splitlines()[0].startswith("1,-1,-1,-1")
 
 
+TRIB_RAT = "rat:1839286755214161/1000000000000000"
+TRIB_RESIDUAL = "725105529484719565970821544719/1000000000000000000000000000000000000000000000"
+
+
+def test_cubic_hunt_lists_rational_tribonacci(capsys):
+    code, out, _ = run_cli(
+        capsys, ["cubic-hunt", "--value", TRIB_RAT, "--height", "3", "--tol", "1e-9"]
+    )
+    assert code == 0
+    assert out == f"1,-1,-1,-1  residual={TRIB_RESIDUAL} ~ 0.0000000000\n"
+
+
+def test_cubic_hunt_json(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        ["cubic-hunt", "--value", TRIB_RAT, "--height", "3", "--format", "json", "--places", "4"],
+    )
+    assert code == 0
+    assert no_floats(out) == {
+        "height": 3,
+        "tol": "1/1000000000",
+        "decimal_places": 4,
+        "candidates": [
+            {
+                "coefficients": ["1", "-1", "-1", "-1"],
+                "residual": TRIB_RESIDUAL,
+                "residual_decimal": "0.0000",
+            }
+        ],
+    }
+
+
+def test_cubic_hunt_no_candidates(capsys):
+    code, out, _ = run_cli(capsys, ["cubic-hunt", "--value", "rat:3/2", "--height", "1"])
+    assert code == 0
+    assert out == "no candidates\n"
+
+
 # -- exit code taxonomy ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["closed-form", "--a", "0", "--b", "1"], "a must be >= 1, got 0"),
+        (["kbonacci", "--k", "1", "--n", "5"], "k must be >= 2"),
+        (["cubic-hunt", "--value", "rat:3/2", "--height", "0"], "height must be between 1 and 50"),
+    ],
+)
+def test_exit_2_on_rejected_parameter(capsys, argv, message):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_exit_4_on_field_value_exactly_integral(capsys):
+    # floor(theta) = 1 exactly for the root 1 of x^2 - 1; the next step
+    # then inverts theta - 1 = 0 and finds the factor.
+    code, out, err = run_cli(capsys, ["expand", "alg:poly=-1,0,1;elem=0,1;lo=1/2;hi=3/2"])
+    assert code == 4
+    assert out == ""
+    assert "has factor x - 1" in err
 
 
 def test_exit_2_on_parse_error(capsys):

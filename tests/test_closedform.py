@@ -1,9 +1,13 @@
+import random
 from fractions import Fraction
+from itertools import product
+from math import gcd
 
 import pytest
 
 from bcf.arith import IntPolynomial, NumberField, refine_root
 from bcf.closedform import (
+    CubicCandidate,
     allones_poly,
     alpha_cubic,
     alpha_root_interval,
@@ -120,8 +124,6 @@ def test_cubic_hunt_results_sorted_and_primitive():
     hits = cubic_hunt(Fraction("1.8392867552141612"), 6, tol(6), value_error=tol(13))
     residuals = [h.residual for h in hits]
     assert residuals == sorted(residuals)
-    from math import gcd
-
     for h in hits:
         assert gcd(*(abs(c) for c in h.coeffs)) == 1
 
@@ -137,3 +139,25 @@ def test_cubic_hunt_period2_probe():
     hits = cubic_hunt(values[0], 10, tol(9), value_error=bound)
     assert hits
     assert hits[0].residual < tol(9)
+
+
+def cubic_oracle(value, height, tol):
+    """cubic_hunt by brute force: every c0 in [-height, height]."""
+    found = []
+    for c3 in range(1, height + 1):
+        for c2, c1, c0 in product(range(-height, height + 1), repeat=3):
+            residual = abs(c3 * value**3 + c2 * value**2 + c1 * value + c0)
+            if residual < tol and gcd(c3, c2, c1, c0) == 1:
+                found.append(CubicCandidate((c3, c2, c1, c0), residual))
+    return sorted(found, key=lambda c: (c.residual, c.coeffs))
+
+
+def test_cubic_hunt_matches_brute_force():
+    rng = random.Random(8)
+    tols = [tol(9), Fraction(1, 2), Fraction(1), Fraction(7, 4)]
+    values = [Fraction("1.8392867552141612"), Fraction(1, 2), Fraction(-3, 2), Fraction(0)]
+    values += [Fraction(rng.randint(-2500, 2500), rng.choice([2, 4, 100, 997])) for _ in range(10)]
+    for value in values:
+        for height in (1, 2, 3):
+            for t in tols:
+                assert cubic_hunt(value, height, t) == cubic_oracle(value, height, t)

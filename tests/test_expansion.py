@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bcf.arith import GuardedDecimal, IntPolynomial, NumberField
-from bcf.errors import AmbiguousFloor, MixedFields, NegativeInput, UnsupportedOrder
+from bcf.closedform import allones_poly
+from bcf.errors import AmbiguousFloor, MixedFields, NegativeInput
 from bcf.expansion import ExpansionState, expand, expand_step
 
 TRIB = NumberField(IntPolynomial((-1, -1, -1, 1)), 1, 2)
@@ -246,13 +248,6 @@ def test_guarded_refusal_order_and_hint():
     assert len(expand([GuardedDecimal.from_literal("1.8392867552141611", 2)], 9)) == 9
 
 
-def test_guarded_order_above_ten_is_refused_before_any_corner_step():
-    box = [GuardedDecimal.from_literal("1.5000")] * 11  # 2^11 corners
-    with pytest.raises(UnsupportedOrder):
-        expand(box, 1)
-    assert len(expand(box[:10], 1)) == 1
-
-
 @st.composite
 def guarded_boxes(draw):
     """An order 1-3 box of non-negative decimals, each drawn digit by digit
@@ -268,23 +263,47 @@ def guarded_boxes(draw):
     return tuple(box)
 
 
-def certify(box):
-    """Step a guarded box to its refusal: (certified digits, refusing state)."""
+def certify(box) -> list[tuple[int, ...]]:
+    """Step a guarded box to its refusal: the certified digit tuples."""
     state, rows = ExpansionState(box, 0), []
     while True:
         try:
-            digits, nxt = expand_step(state)
+            digits, state = expand_step(state)
         except AmbiguousFloor:
-            return rows, state
+            return rows
         rows.append(digits)
-        state = nxt
+
+
+def allones_box(m: int, places: int = 20) -> tuple[GuardedDecimal, ...]:
+    """The ``places``-digit (guard 2) truncations of the order-m all-ones
+    tuple: x_1 = theta, x_(k+1) = theta*(x_k - 1), theta > 1 the root of
+    allones_poly(m)."""
+    theta = x = NumberField(allones_poly(m), 1, 2).theta()
+    box = []
+    for _ in range(m):
+        lo, hi = x.interval(Fraction(1, 10 ** (places + 10)))
+        mantissa = math.floor(lo * 10**places)
+        assert mantissa == math.floor(hi * 10**places)
+        box.append(GuardedDecimal.from_parts(mantissa, places, 2))
+        x = theta * (x - 1)
+    return tuple(box)
+
+
+@pytest.mark.parametrize("m, tuples", [(10, 42), (12, 41), (20, 35)])
+def test_guarded_high_orders_certify_all_ones_then_refuse(m, tuples):
+    # The forms step costs O(m^2), not 2^m corner steps: order 20 is fast.
+    box = allones_box(m)
+    start = time.perf_counter()
+    rows = certify(box)
+    assert time.perf_counter() - start < 1
+    assert rows == [(1,) * m] * tuples
 
 
 @settings(max_examples=150, deadline=None)
 @given(guarded_boxes(), st.lists(st.integers(0, 64), max_size=12))
 @example((GuardedDecimal(Fraction(1495, 1000), Fraction(5, 1000)),), [])  # [1.49, 3/2]
 def test_corner_certification_is_sound_and_optimal(box, weights):
-    rows, refused = certify(box)
+    rows = certify(box)
     bounds = [g.bounds() for g in box]
     corners = list(itertools.product(*bounds))
     # Sound: every corner and some rational interior points of the box
@@ -300,8 +319,60 @@ def test_corner_certification_is_sound_and_optimal(box, weights):
             assert exact.terminated_at is None
     # Optimal: at the refusing step two corners, which are points of the
     # box, expand differently or one of them terminates.
-    steps = [expand_step(ExpansionState(c, 0)) for c in refused.corners or corners]
-    assert len({d for d, _ in steps}) > 1 or any(nxt is None for _, nxt in steps)
+    n = len(rows)
+    tails = [expand(c, n + 1) for c in corners]
+    assert len({tuple(seq[n] for seq in e.digits) for e in tails}) > 1 or any(
+        e.terminated_at == n for e in tails
+    )
+
+
+def corner_oracle(box, depth):
+    """The rule the guarded step must match, on the 2^m exact corners of the
+    box: refuse by the floor of the corners' hull when they floor apart,
+    then step each corner exactly (which refuses a negative floor) and
+    refuse when one terminates."""
+    corners = list(itertools.product(*(g.bounds() for g in box)))
+    for step in range(depth):
+        for k in range(len(box)):
+            lo, hi = min(c[k] for c in corners), max(c[k] for c in corners)
+            if math.floor(lo) != math.floor(hi):
+                GuardedDecimal((lo + hi) / 2, (hi - lo) / 2).floor()
+        steps = [expand_step(ExpansionState(c, step)) for c in corners]
+        if any(nxt is None for _, nxt in steps):
+            raise AmbiguousFloor(
+                f"component {len(box)} at step {step} may have fractional part "
+                "exactly zero: the guard band reaches zero; supply more trusted digits"
+            )
+        yield steps[0][0]
+        corners = [nxt.values for _, nxt in steps]
+
+
+def guarded_steps(box, depth):
+    state = ExpansionState(box, 0)
+    for _ in range(depth):
+        digits, state = expand_step(state)
+        yield digits
+
+
+def run_to_refusal(steps):
+    """(certified digit tuples, refusal class, message, hint)."""
+    rows = []
+    try:
+        for digits in steps:
+            rows.append(digits)
+    except (AmbiguousFloor, NegativeInput) as exc:
+        return rows, type(exc), str(exc), getattr(exc, "extra_digits_hint", None)
+    return rows, None, None, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(guarded_boxes(), st.integers(-1, 0))
+@example((GuardedDecimal(Fraction(1, 2), Fraction(1, 1000)),), -1)  # negative floor
+@example((GuardedDecimal(Fraction(1, 2), Fraction(1, 2)),), 0)  # [0, 1] straddles 1
+def test_guarded_step_matches_the_corner_oracle(box, shift):
+    box = (GuardedDecimal(box[0].value + shift, box[0].radius),) + box[1:]
+    expected = run_to_refusal(corner_oracle(box, 80))
+    assert run_to_refusal(guarded_steps(box, 80)) == expected
 
 
 def test_depth_cap_is_not_an_error():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -49,11 +50,20 @@ def test_floor_refused_when_possibly_integral():
     assert exc.value.extra_digits_hint is None
 
 
+def corner_steps(box):
+    """The guarded step's digits, checked against the exact step of every
+    corner of the box, and the corners' next value tuples."""
+    digits, _ = expand_step(ExpansionState(box, 0))
+    steps = [expand_step(ExpansionState(c, 0)) for c in product(*(g.bounds() for g in box))]
+    assert {d for d, _ in steps} == {digits}
+    return digits, [nxt.values for _, nxt in steps]
+
+
 def test_reciprocal_propagates_band():
     g = GuardedDecimal.from_literal("0.500", guard_digits=1)  # 0.5 +/- 0.01
-    digits, state = expand_step(ExpansionState((g,), 0))
+    digits, corners = corner_steps((g,))
     assert digits == (0,)
-    lo, hi = sorted(corner[0] for corner in state.corners)
+    lo, hi = sorted(corner[0] for corner in corners)
     assert lo <= 2 <= hi
     assert lo == Fraction(100, 51)
     assert hi == Fraction(100, 49)
@@ -68,7 +78,8 @@ def test_reciprocal_refused_near_zero():
 def test_divide_interval():
     num = GuardedDecimal.from_literal("0.100", guard_digits=1)  # [0.09, 0.11]
     den = GuardedDecimal.from_literal("0.200", guard_digits=1)  # [0.19, 0.21]
-    _, state = expand_step(ExpansionState((num, den), 0))
-    quotients = [corner[1] for corner in state.corners]  # f1 / f2 at each corner
+    digits, corners = corner_steps((num, den))
+    assert digits == (0, 0)
+    quotients = [corner[1] for corner in corners]  # f1 / f2 at each corner
     assert min(quotients) == Fraction(9, 21)
     assert max(quotients) == Fraction(11, 19)

@@ -103,6 +103,18 @@ def test_reducible_modulus_surfaces_factor():
     assert exc.value.factor.coeffs == (-1, 1)
 
 
+def test_floor_of_an_exactly_integral_value():
+    # Only a reducible modulus makes a value exactly an integer; floor
+    # then returns that integer by the exact-zero test.
+    theta = NumberField(IntPolynomial((-1, 0, 1)), frac(1, 2), frac(3, 2)).theta()
+    assert [theta.floor() for _ in range(5)] == [1] * 5
+    # (x - 3)(x^2 - 2) on (1, 2): theta = sqrt(2), so theta^2 is exactly 2,
+    # while the residue x^2 - 2 is not zero.
+    theta = NumberField(IntPolynomial((6, -2, -3, 1)), 1, 2).theta()
+    assert (theta**2).floor() == 2
+    assert (theta**2 - 2 == 0) is False
+
+
 def test_mixed_fields_rejected():
     with pytest.raises(MixedFields):
         SQRT2.theta() * TRIB.theta()
