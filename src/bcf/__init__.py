@@ -12,13 +12,11 @@ from .arith import (
     IntPolynomial,
     NumberField,
     RealValue,
-    refine_root,
 )
 from .closedform import (
     CubicCandidate,
     allones_poly,
     alpha_cubic,
-    alpha_root_interval,
     beta_cubic,
     cubic_hunt,
 )
@@ -50,11 +48,9 @@ __all__ = [
     "IntPolynomial",
     "NumberField",
     "RealValue",
-    "refine_root",
     "CubicCandidate",
     "allones_poly",
     "alpha_cubic",
-    "alpha_root_interval",
     "beta_cubic",
     "cubic_hunt",
     "DigitSpec",

@@ -7,9 +7,10 @@ rational entries.  Products and inverses are the shared rational polynomial
 helpers, reduced modulo p.
 
 Each field keeps one isolating bracket of theta, the tightest found so
-far, and owns the one refinement loop: floors and enclosures evaluate the
-residue on the bracket by interval Horner and bisect it, storing every
-bisection back on the field, until the enclosure settles the question.
+far, and owns the package's only root-refinement loop: floors and
+enclosures evaluate the residue on the bracket by interval Horner and
+bisect it, storing every bisection back on the field, until the enclosure
+settles the question.
 The bracket only ever shrinks, so later decisions start where earlier ones
 stopped instead of at the user's interval.  A floor whose enclosure keeps
 straddling an integer is settled by an exact gcd test, because the value
@@ -43,7 +44,6 @@ from .polynomials import (
     sturm_chain,
 )
 
-_MAX_REFINE = 100_000
 _EXACT_TEST_EVERY = 16
 
 
@@ -83,15 +83,17 @@ class NumberField:
         self._qmodulus = chain[0]  # the modulus as rationals, for residues
 
     def brackets(self):
-        """Yield isolating brackets ``(lo, hi)`` of theta, the first one the
-        field's current bracket and each next one a bisection of the
-        bracket then current, which is stored back on the field."""
-        for _ in range(_MAX_REFINE):
+        """Yield isolating brackets ``(lo, hi)`` of theta without end, the
+        first one the field's current bracket and each next one a bisection
+        of the bracket then current, which is stored back on the field.
+
+        Bisecting an isolating bracket cannot fail and at least halves it,
+        so every consumer that waits for a narrow enough bracket ends."""
+        while True:
             yield self.bracket[:2]
             # Read afresh: a decision interleaved with this one may have
             # tightened the bracket meanwhile.
             self.bracket = bisect_once(self.modulus, *self.bracket)
-        raise NonIsolatingInterval("root refinement failed to converge")
 
     @property
     def degree(self) -> int:

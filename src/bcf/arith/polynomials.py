@@ -1,4 +1,5 @@
-"""Integer polynomials with exact evaluation and bisection root refinement.
+"""Integer polynomials: exact and interval evaluation, one bisection step,
+and Sturm root counts.
 
 All interval endpoints are rationals, never floats: a floor or sign
 decision made here is a proof, not an estimate.
@@ -9,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-from ..errors import NoSignChange
 
 
 @dataclass(frozen=True)
@@ -96,58 +95,22 @@ def eval_interval(coeffs: Sequence, lo: Fraction, hi: Fraction) -> tuple[Fractio
 def bisect_once(
     poly: IntPolynomial, lo: Fraction, hi: Fraction, s_lo: int
 ) -> tuple[Fraction, Fraction, int]:
-    """One bisection step preserving the sign change of ``poly`` on (lo, hi).
+    """One bisection step of an isolating bracket of a simple root.
 
-    ``s_lo`` is the sign of ``poly`` at ``lo``, strictly opposite to its
-    sign at ``hi``; it comes back with the new bracket.  Only the midpoint
-    is evaluated: a bracket moves its left end to a midpoint of the same
-    sign.  If the midpoint is an exact root the interval is shrunk
-    symmetrically around it instead, and the sign at the new left end is
-    evaluated, since other roots in the bracket may flip it.
+    (lo, hi) must hold exactly one root of ``poly``, a simple one, and
+    ``s_lo`` is the sign of ``poly`` at ``lo``; it comes back with the new
+    bracket.  Only the midpoint is evaluated: a bracket moves its left end
+    to a midpoint of the same sign.  A midpoint that is a root is the
+    bracket's only root, so the bracket shrinks to the quarter points
+    around it, and the sign left of it is still ``s_lo``.
     """
     mid = (lo + hi) / 2
     s_mid = poly.sign_at(mid)
     if s_mid == 0:
-        return _shrink_around_root(poly, lo, hi, mid)
+        return (lo + mid) / 2, (mid + hi) / 2, s_lo
     if s_mid == s_lo:
         return mid, hi, s_lo
     return lo, mid, s_lo
-
-
-def _shrink_around_root(poly: IntPolynomial, lo: Fraction, hi: Fraction, root: Fraction):
-    eps = min(hi - root, root - lo) / 2
-    for _ in range(64):
-        a, b = root - eps, root + eps
-        s_a = poly.sign_at(a)
-        if s_a * poly.sign_at(b) < 0:
-            return a, b, s_a
-        eps /= 2
-    raise NoSignChange(
-        f"exact root at {root} has no sign change across it (even multiplicity?)"
-    )
-
-
-def refine_root(
-    poly: IntPolynomial,
-    interval: tuple[Fraction, Fraction],
-    width: Fraction,
-) -> tuple[Fraction, Fraction]:
-    """Shrink a sign-change bracket of ``poly`` to at most ``width``.
-
-    The result is nested inside ``interval`` and still brackets the root;
-    endpoints stay exact rationals.  Raises NoSignChange when the input
-    endpoints do not have strictly opposite signs.
-    """
-    lo, hi = Fraction(interval[0]), Fraction(interval[1])
-    width = Fraction(width)
-    if width <= 0:
-        raise ValueError("width must be positive")
-    s_lo = poly.sign_at(lo)
-    if s_lo * poly.sign_at(hi) >= 0:
-        raise NoSignChange(f"no sign change of {poly} on [{lo}, {hi}]")
-    while hi - lo > width:
-        lo, hi, s_lo = bisect_once(poly, lo, hi, s_lo)
-    return lo, hi
 
 
 def sturm_chain(poly: IntPolynomial) -> list[tuple[Fraction, ...]]:

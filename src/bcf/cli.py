@@ -10,6 +10,7 @@ or fractions, and decimal renderings always state their precision.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -37,7 +38,9 @@ from .sequences import kbonacci
 DEFAULT_PLACES = 10
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="bcf",
         description="Exact bifurcating (order-m) continued fractions.",

@@ -10,6 +10,7 @@ pair (alpha, beta = b + 1/alpha), with alpha the root > 1 of
 That pair expands back to the constant digits (a, b) exactly when b <= a
 (checked for a <= 6, b <= 8); for b > a, floor(alpha) exceeds a.  The
 alpha cubic is reducible exactly when b = a + 2: then x + 1 divides it.
+Its other roots are negative or complex, so (a, a + b + 1) isolates alpha.
 The all-ones spec of order m fixes x^(m+1) = x^m + ... + x + 1.
 """
 
@@ -50,19 +51,6 @@ def allones_poly(m: int) -> IntPolynomial:
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     return IntPolynomial((-1,) * (m + 1) + (1,))
-
-
-def alpha_root_interval(a: int, b: int) -> tuple[Fraction, Fraction]:
-    """A sign-change bracket of the alpha cubic's real root > 1.
-
-    Starts at (a, a+2) and widens upward until the sign change appears;
-    the value at a is always negative.
-    """
-    poly = alpha_cubic(a, b)
-    lo, hi = Fraction(a), Fraction(a + 2)
-    while poly.sign_at(lo) * poly.sign_at(hi) >= 0:
-        hi += 1
-    return lo, hi
 
 
 @dataclass(frozen=True)

@@ -78,10 +78,6 @@ class NonIsolatingInterval(AlgebraError):
     """An interval fails to isolate a single real root (sign anomaly)."""
 
 
-class NoSignChange(AlgebraError):
-    """Root refinement requires strictly opposite signs at the endpoints."""
-
-
 class UnsupportedError(BcfError):
     exit_code = 5
 

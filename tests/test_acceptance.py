@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from bcf.arith import IntPolynomial, NumberField, refine_root
+from bcf.arith import IntPolynomial, NumberField
 from bcf.closedform import alpha_cubic, cubic_hunt
 from bcf.evaluation import DigitSpec, convergent, reconstruct
 from bcf.expansion import expand
@@ -53,7 +53,7 @@ def test_criterion_03_tribonacci_constant():
     values, _ = reconstruct(UNIT, tol(8))
     anchor = Fraction("1.83928675521416")
     assert abs(values[0] - anchor) < tol(8)
-    lo, hi = refine_root(alpha_cubic(1, 1), (Fraction(1), Fraction(2)), tol(10))
+    lo, hi = NumberField(alpha_cubic(1, 1), 1, 2).theta().interval(tol(10))
     assert abs(values[0] - (lo + hi) / 2) < tol(8)
     ok(3, "reconstruct(unit, 1e-8) matches 1.83928675521416 and the bisection root")
 

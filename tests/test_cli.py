@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from bcf.cli import main
+from bcf.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -72,10 +72,19 @@ def test_expand_pipe_to_convergents(capsys, monkeypatch):
     assert out.splitlines()[-1] == "5: 24/13 ~ 1.8461538461 | 20/13 ~ 1.5384615384"
 
 
+def test_parser_is_built_once_and_reused(capsys):
+    assert build_parser() is build_parser()
+    argv = ["expand", *QUARTIC, "--depth", "12", "--period", "--format", "json"]
+    first = run_cli(capsys, argv)
+    # Options of another call do not leak into the next parse.
+    assert run_cli(capsys, ["expand", "rat:7/4", "--verbose"])[0] == 0
+    assert run_cli(capsys, argv) == first
+
+
 def test_expand_pipe_round_trips_quartic_values(capsys, monkeypatch):
     from fractions import Fraction
 
-    from bcf.arith import IntPolynomial, refine_root
+    from bcf.arith import NumberField
 
     code, digits_out, _ = run_cli(
         capsys, ["expand", *QUARTIC, "--depth", "20", "--period"]
@@ -92,9 +101,7 @@ def test_expand_pipe_round_trips_quartic_values(capsys, monkeypatch):
     decimals = [cell.split(" ~ ")[1] for cell in last.split(": ", 1)[1].split(" | ")]
     refs = ((-2, 0, 0, 0, 1), (-2, 0, 1), (-8, 0, 0, 0, 1))
     for text, poly in zip(decimals, refs):
-        lo, hi = refine_root(
-            IntPolynomial(poly), (Fraction(1), Fraction(2)), Fraction(1, 10**14)
-        )
+        lo, hi = NumberField(poly, 1, 2).theta().interval(Fraction(1, 10**14))
         assert abs(Fraction(text) - (lo + hi) / 2) < Fraction(1, 10**8)
 
 

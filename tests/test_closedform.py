@@ -1,16 +1,15 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import floor, gcd
 
 import pytest
 
-from bcf.arith import IntPolynomial, NumberField, refine_root
+from bcf.arith import IntPolynomial, NumberField
 from bcf.closedform import (
     CubicCandidate,
     allones_poly,
     alpha_cubic,
-    alpha_root_interval,
     beta_cubic,
     cubic_hunt,
 )
@@ -42,8 +41,8 @@ def test_beta_cubic_coefficients():
 
 
 def test_beta_root_is_one_plus_inverse_alpha():
-    a_lo, a_hi = refine_root(alpha_cubic(1, 1), (Fraction(1), Fraction(2)), tol(12))
-    b_lo, b_hi = refine_root(beta_cubic(1, 1), (Fraction(1), Fraction(2)), tol(12))
+    a_lo, a_hi = NumberField(alpha_cubic(1, 1), 1, 2).theta().interval(tol(12))
+    b_lo, b_hi = NumberField(beta_cubic(1, 1), 1, 2).theta().interval(tol(12))
     alpha = (a_lo + a_hi) / 2
     beta = (b_lo + b_hi) / 2
     assert abs(beta - (1 + 1 / alpha)) < tol(10)
@@ -62,20 +61,20 @@ def test_verify_root_exact_values():
     assert abs(alpha_cubic(1, 0)(Fraction(1))) == 1
 
 
-def test_alpha_root_interval_brackets():
-    for a in (1, 2, 3):
-        for b in (0, 1, 2, 3):
-            lo, hi = alpha_root_interval(a, b)
-            poly = alpha_cubic(a, b)
-            assert poly.sign_at(lo) * poly.sign_at(hi) < 0
-            assert lo == a
+def test_alpha_cubic_root_is_isolated_above_a():
+    # p(a) = -ab - 1 < 0 < p(a + b + 1), and the other two roots are
+    # negative or complex, so the field's Sturm count accepts the interval.
+    for a in range(1, 7):
+        for b in range(9):
+            alpha = NumberField(alpha_cubic(a, b), a, a + b + 1).theta()
+            assert a <= floor(alpha) <= a + b
 
 
 def test_root_agrees_with_reconstruction_grid():
     for a in (1, 2, 3):
         for b in (0, 1, 2, 3):
             poly = alpha_cubic(a, b)
-            lo, hi = refine_root(poly, alpha_root_interval(a, b), tol(12))
+            lo, hi = NumberField(poly, a, a + b + 1).theta().interval(tol(12))
             root = (lo + hi) / 2
             values, _ = reconstruct(DigitSpec.constant((a, b)), tol(10))
             alpha, beta = values
@@ -84,9 +83,8 @@ def test_root_agrees_with_reconstruction_grid():
             assert abs(alpha - (a + beta / alpha)) < tol(8)
             assert abs(beta - (b + 1 / alpha)) < tol(8)
             # beta satisfies its own cubic's root
-            b_lo, b_hi = refine_root(
-                beta_cubic(a, b), (beta - Fraction(1, 100), beta + Fraction(1, 100)), tol(12)
-            )
+            b_field = NumberField(beta_cubic(a, b), beta - tol(2), beta + tol(2))
+            b_lo, b_hi = b_field.theta().interval(tol(12))
             assert abs(beta - (b_lo + b_hi) / 2) < tol(8)
 
 
@@ -97,14 +95,14 @@ def test_period1_pair_expands_to_its_digits_exactly_when_b_at_most_a():
             if b == a + 2:
                 assert poly(-1) == 0  # x + 1 divides it: no field to expand in
                 continue
-            alpha = NumberField(poly, *alpha_root_interval(a, b)).theta()
+            alpha = NumberField(poly, a, a + b + 1).theta()
             exp = expand([alpha, b + alpha.inverse()], 10)
             assert (exp.digits == ((a,) * 10, (b,) * 10)) == (b <= a), (a, b)
 
 
 def test_allones_root_matches_reconstruction():
     for m in (1, 2, 3, 4):
-        lo, hi = refine_root(allones_poly(m), (Fraction(1), Fraction(2)), tol(12))
+        lo, hi = NumberField(allones_poly(m), 1, 2).theta().interval(tol(12))
         root = (lo + hi) / 2
         values, _ = reconstruct(DigitSpec.constant((1,) * m), tol(8))
         assert abs(values[0] - root) < tol(6)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcf.arith import IntPolynomial, NumberField, refine_root
+from bcf.arith import IntPolynomial, NumberField
 from bcf.errors import InsufficientDigits, NoConvergence, UnsupportedOrder
 from bcf.evaluation import (
     DigitSpec,
@@ -257,7 +257,7 @@ def test_reconstruct_quartic_triple():
     # independent references by bisection: 2^(1/4), 2^(1/2), 2^(3/4)
     refs = []
     for poly in ((-2, 0, 0, 0, 1), (-2, 0, 1), (-8, 0, 0, 0, 1)):
-        lo, hi = refine_root(IntPolynomial(poly), (Fraction(1), Fraction(2)), tol(12))
+        lo, hi = NumberField(poly, 1, 2).theta().interval(tol(12))
         refs.append((lo + hi) / 2)
     values, _ = reconstruct(QUARTIC_SPEC, tol(8))
     for got, ref in zip(values, refs):

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bcf.arith import GuardedDecimal, IntPolynomial, NumberField
-from bcf.closedform import allones_poly, alpha_cubic, alpha_root_interval
+from bcf.closedform import allones_poly, alpha_cubic
 from bcf.expansion import ExpansionState, expand, expand_step
 from bcf.periodicity import (
     APPARENT,
@@ -117,7 +117,7 @@ def test_digit_periodicity_holds_on_report():
 
 
 def period1_pair(a, b):
-    th = NumberField(alpha_cubic(a, b), *alpha_root_interval(a, b)).theta()
+    th = NumberField(alpha_cubic(a, b), a, a + b + 1).theta()
     return [th, b + th.inverse()]
 
 

@@ -3,6 +3,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bcf.arith import numberfield, polynomials
 from bcf.arith.numberfield import NumberField
@@ -15,14 +17,24 @@ from bcf.arith.polynomials import (
     qp_mul,
     qp_primitive_int,
     qp_sub,
-    refine_root,
 )
-from bcf.errors import NoSignChange
+from bcf.closedform import allones_poly, alpha_cubic
+from bcf.errors import NonIsolatingInterval
 from bcf.expansion import expand
 
 TRIBONACCI = IntPolynomial((-1, -1, -1, 1))
 TETRANACCI = IntPolynomial((-1, -1, -1, -1, 1))
 SQRT2 = IntPolynomial((-2, 0, 1))
+X2_MINUS_1 = IntPolynomial((-1, 0, 1))
+
+
+def root_bracket(poly, lo, hi, width):
+    """Test-only oracle: plain bisection of a sign-change bracket."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    s_lo = poly.sign_at(lo)
+    while hi - lo > width:
+        lo, hi, s_lo = bisect_once(poly, lo, hi, s_lo)
+    return lo, hi
 
 
 def test_canonical_form_strips_trailing_zeros():
@@ -60,20 +72,20 @@ def test_interval_eval_contains_point_values():
 
 
 def test_refine_root_sqrt2_quarter_width():
-    lo, hi = refine_root(SQRT2, (Fraction(1), Fraction(2)), Fraction(1, 4))
+    lo, hi = NumberField(SQRT2, 1, 2).theta().interval(Fraction(1, 4))
     assert hi - lo <= Fraction(1, 4)
     assert Fraction(1) <= lo < hi <= Fraction(2)
     assert SQRT2.sign_at(lo) * SQRT2.sign_at(hi) < 0
 
 
 def test_refine_root_tribonacci_constant():
-    lo, hi = refine_root(TRIBONACCI, (Fraction(1), Fraction(2)), Fraction(1, 10**4))
+    lo, hi = NumberField(TRIBONACCI, 1, 2).theta().interval(Fraction(1, 10**4))
     target = Fraction("1.83928675521416")
     assert lo <= target <= hi
 
 
 def test_refine_root_tetranacci_ten_decimals():
-    lo, hi = refine_root(TETRANACCI, (Fraction(1), Fraction(2)), Fraction(1, 10**12))
+    lo, hi = NumberField(TETRANACCI, 1, 2).theta().interval(Fraction(1, 10**12))
     # exact bisection value 1.927561975482925...; the commonly printed
     # 14-digit form of this constant is only reliable to ~11 decimals
     assert lo <= Fraction("1.927561975482925") <= hi
@@ -81,8 +93,8 @@ def test_refine_root_tetranacci_ten_decimals():
 
 
 def test_refine_root_requires_sign_change():
-    with pytest.raises(NoSignChange):
-        refine_root(SQRT2, (Fraction(2), Fraction(3)), Fraction(1, 2))
+    with pytest.raises(NonIsolatingInterval):
+        NumberField(SQRT2, 2, 3)
 
 
 def test_refine_root_nests_and_preserves_signs():
@@ -99,25 +111,36 @@ def test_refine_root_nests_and_preserves_signs():
         lo0, hi0 = Fraction(0), Fraction(4)
         if poly.sign_at(lo0) * poly.sign_at(hi0) >= 0:
             continue
-        lo, hi = refine_root(poly, (lo0, hi0), Fraction(1, 1000))
+        lo, hi = root_bracket(poly, lo0, hi0, Fraction(1, 1000))
         assert lo0 <= lo < hi <= hi0
         assert hi - lo <= Fraction(1, 1000)
         assert lo <= Fraction(root_num, root_den) <= hi
 
 
-def test_refine_root_when_midpoint_is_a_root_of_several():
-    cubic = IntPolynomial((0, -1, 0, 1))  # x^3 - x: roots -1, 0, 1
-    # The midpoint 0 is a root and -1 lies left of it, so the shrunk
-    # bracket's left sign is the opposite of the sign at -2.
-    assert bisect_once(cubic, Fraction(-2), Fraction(2), -1) == (
-        Fraction(-1, 2),
+def test_bisect_once_shrinks_around_an_exact_midpoint_root():
+    # The midpoint 1 is the bracket's only root, so the bracket shrinks to
+    # the quarter points and the sign left of the root stays -1.
+    assert bisect_once(X2_MINUS_1, Fraction(0), Fraction(2), -1) == (
         Fraction(1, 2),
-        1,
+        Fraction(3, 2),
+        -1,
     )
-    lo, hi = refine_root(cubic, (Fraction(-2), Fraction(2)), Fraction(1, 1000))
-    assert lo < 0 < hi
-    assert hi - lo <= Fraction(1, 1000)
-    assert cubic.sign_at(lo) * cubic.sign_at(hi) < 0
+    assert NumberField(X2_MINUS_1, 0, 2).theta().floor() == 1
+
+
+ORACLE_CASES = (
+    [(alpha_cubic(a, b), a, a + b + 1) for a in range(1, 7) for b in range(9)]
+    + [(allones_poly(m), 1, 2) for m in range(1, 6)]
+    + [(X2_MINUS_1, 0, 2)]
+)
+
+
+@given(st.sampled_from(ORACLE_CASES), st.integers(0, 60))
+def test_field_interval_is_the_bisection_oracle_bracket(case, k):
+    poly, lo, hi = case
+    width = Fraction(1, 2**k)
+    got = NumberField(poly, lo, hi).theta().interval(width)
+    assert got == root_bracket(poly, lo, hi, width)
 
 
 def test_bisection_evaluates_only_the_midpoint(monkeypatch):

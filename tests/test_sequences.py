@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from bcf.arith import refine_root
+from bcf.arith import NumberField
 from bcf.closedform import allones_poly
 from bcf.sequences import kbonacci
 
@@ -48,5 +48,5 @@ def test_ratio_limits_hit_known_constants():
 def test_ratio_limit_matches_allones_root():
     for k in (2, 3, 4, 5):
         tol = Fraction(1, 10**10)
-        lo, hi = refine_root(allones_poly(k - 1), (Fraction(1), Fraction(2)), tol)
+        lo, hi = NumberField(allones_poly(k - 1), 1, 2).theta().interval(tol)
         assert abs(term_ratio(k) - (lo + hi) / 2) < 2 * tol + (hi - lo)
