@@ -1,10 +1,14 @@
 """Exact arithmetic backends: rationals, algebraic number fields, guarded decimals.
 
 Rationals and field elements answer ``math.floor(x)``, ``x - n``, ``x == 0``,
-``1 / x`` and ``x * y`` (``y`` of the same type), all the expansion loop asks;
-a field decides them by bisecting its own isolating bracket of theta.  A
-guarded decimal only knows its bounds: the loop steps integer linear forms
-over the box and certifies a digit when every point of the box floors to it.
+``1 / x`` and ``x * y`` (``y`` of the same type) exactly; a field decides them
+on its own isolating bracket of theta.  The expansion loop asks none of
+these: it steps integer rows, and asks a field only for certified floors of
+ratios of integer residues on a dyadic bracket of theta
+(``NumberField.ratio_floors``) and for state keys modulo a prime
+(``NumberField.ratio_key``).  A guarded decimal only knows its bounds: the
+loop steps integer linear forms over the box and certifies a digit when
+every point of the box floors to it.
 """
 
 from fractions import Fraction

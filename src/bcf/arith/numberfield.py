@@ -7,20 +7,28 @@ rational entries.  Products and inverses are the shared rational polynomial
 helpers, reduced modulo p.
 
 Each field keeps one isolating bracket of theta, the tightest found so
-far, and owns the package's only root-refinement loop: floors and
-enclosures evaluate the residue on the bracket by interval Horner and
-bisect it, storing every bisection back on the field, until the enclosure
-settles the question.
-The bracket only ever shrinks, so later decisions start where earlier ones
-stopped instead of at the user's interval.  A floor whose enclosure keeps
-straddling an integer is settled by an exact gcd test, because the value
-may be that integer.
+far, and is the package's only root refiner.  It tightens the bracket two
+ways, storing every result back on the field, so later decisions start
+where earlier ones stopped instead of at the user's interval:
+
+- ``dyadic`` fixes theta to a cell [t, t + 1] / 2^bits by integer Newton
+  steps that double the precision, certified by two sign evaluations and
+  backed by bisection.  ``ratio_floors`` encloses integer residues on
+  that cell by interval Horner: every floor, the expansion's and the
+  elements', is decided there.
+- ``brackets`` bisects: element enclosures (``interval``) evaluate the
+  residue on each bracket until it is narrow enough.
+
+A floor whose enclosure straddles one integer is settled by a gcd test,
+because the value may be that integer.  Expansion states are keyed modulo
+a prime, where an inverse costs one gcd of small integers; only a residue
+that is no unit there needs the exact rational gcd.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import floor
+from math import lcm
 from typing import Iterable
 
 from ..errors import (
@@ -39,12 +47,16 @@ from .polynomials import (
     qp_ext_gcd,
     qp_mul,
     qp_primitive_int,
+    qp_sub,
     qp_trim,
     root_count,
+    scaled_box,
+    scaled_eval,
     sturm_chain,
 )
 
-_EXACT_TEST_EVERY = 16
+FLOOR_BITS = 64  # the first precision of a dyadic bracket for floors
+_KEY_PRIME = (1 << 61) - 1  # expansion states are keyed modulo this prime
 
 
 class NumberField:
@@ -81,6 +93,8 @@ class NumberField:
         self.root_interval = (lo, hi)
         self.bracket = (lo, hi, sign_lo)  # tightest known; sign of modulus at lo
         self._qmodulus = chain[0]  # the modulus as rationals, for residues
+        self._dmodulus = tuple(k * c for k, c in enumerate(modulus.coeffs))[1:]
+        self._cell = (None, 0, 0)  # (bracket, bits, t): the last answer of dyadic
 
     def brackets(self):
         """Yield isolating brackets ``(lo, hi)`` of theta without end, the
@@ -94,6 +108,173 @@ class NumberField:
             # Read afresh: a decision interleaved with this one may have
             # tightened the bracket meanwhile.
             self.bracket = bisect_once(self.modulus, *self.bracket)
+
+    def dyadic(self, bits: int) -> int:
+        """An integer t with theta in [t, t + 1] / 2^bits.
+
+        From the current bracket, integer Newton steps double the precision;
+        two sign evaluations certify the cell, which is stored back as the
+        bracket.  Should Newton miss (from a bracket too wide for it), the
+        bracket is bisected once and Newton tried again."""
+        bracket, cell_bits, t = self._cell
+        if bracket is self.bracket and cell_bits == bits:
+            return t
+        while True:
+            lo, hi, s_lo = self.bracket
+            t = (lo.numerator << bits) // lo.denominator
+            if hi.numerator << bits > (t + 1) * hi.denominator:  # not in one cell yet
+                t = self._certify(self._newton(bits), bits)
+            if t is not None:
+                self._cell = (self.bracket, bits, t)
+                return t
+            self.bracket = bisect_once(self.modulus, lo, hi, s_lo)
+
+    def _newton(self, bits: int) -> int:
+        """An integer near theta * 2^bits: one integer Newton step at each of
+        the doubling precisions from the bracket's width up to ``bits``, and
+        a few more at ``bits``, each clamped to the bracket."""
+        lo, hi, _ = self.bracket
+        width = hi - lo
+        start = max(width.denominator.bit_length() - width.numerator.bit_length(), 1)
+        ladder = [bits]
+        while ladder[-1] > start:
+            ladder.append((ladder[-1] + 1) // 2)
+        mid = (lo + hi) / 2
+        x, prev = (mid.numerator << ladder[-1]) // mid.denominator, ladder[-1]
+        for b in reversed(ladder):
+            x <<= b - prev
+            prev = b
+            least = -(-(lo.numerator << b) // lo.denominator)
+            most = (hi.numerator << b) // hi.denominator
+            for _ in range(1 if b < bits else 4):
+                step = scaled_eval(self.modulus.coeffs, x, b) // (
+                    scaled_eval(self._dmodulus, x, b) or 1
+                )
+                x = min(max(x - step, least), most)
+                if -1 <= step <= 1:
+                    break
+        return x
+
+    def _certify(self, t: int, bits: int) -> int | None:
+        """Walk t, a few steps at most, to the cell [t, t + 1] / 2^bits that
+        holds theta, proven by the modulus's signs at the cell's ends inside
+        the bracket, and store the cell (cut to the bracket) as the bracket;
+        None if theta is not that near."""
+        lo, hi, s_lo = self.bracket
+        sides: dict[int, int] = {}
+
+        def side(g: int) -> int:
+            """-1, 0 or 1 as g / 2^bits lies left of, at or right of theta."""
+            if g not in sides:
+                if g * lo.denominator <= lo.numerator << bits:
+                    sides[g] = -1
+                elif g * hi.denominator >= hi.numerator << bits:
+                    sides[g] = 1
+                else:
+                    v = scaled_eval(self.modulus.coeffs, g, bits)
+                    sides[g] = -s_lo * ((v > 0) - (v < 0))
+            return sides[g]
+
+        for _ in range(4):
+            if side(t) > 0:
+                t -= 1
+            elif side(t + 1) <= 0:
+                t += 1
+            else:
+                break
+        else:
+            return None
+        scale = 1 << bits
+        if side(t) == 0:  # theta is t / 2^bits: keep the quarter points around it
+            cell = (Fraction(2 * t - 1, 2 * scale), Fraction(2 * t + 1, 2 * scale))
+        else:
+            cell = (Fraction(t, scale), Fraction(t + 1, scale))
+        self.bracket = (max(lo, cell[0]), min(hi, cell[1]), s_lo)
+        return t
+
+    def ratio_floors(self, den, nums, bits: int) -> tuple[tuple[int, ...], int]:
+        """(the floor of num(theta) / den(theta) for each num, the precision
+        used): integer coordinate vectors, den(theta) > 0.
+
+        Each vector is enclosed on the dyadic cell of theta at ``bits``
+        precision, which doubles until every floor is certain.  A ratio that
+        straddles one integer c is c exactly when num - c*den vanishes at
+        theta."""
+        while True:
+            t = self.dyadic(bits)
+            lo0, hi0 = scaled_box(den, t, bits)
+            floors: list[int] = []
+            if lo0 > 0:
+                for num in nums:
+                    lo, hi = scaled_box(num, t, bits)
+                    a = lo // (hi0 if lo >= 0 else lo0)
+                    b = hi // (lo0 if hi >= 0 else hi0)
+                    if a != b and not (
+                        b == a + 1 and self._vanishes([n - b * e for n, e in zip(num, den)])
+                    ):
+                        break
+                    floors.append(b)
+                else:
+                    return tuple(floors), bits
+            bits *= 2
+
+    def _vanishes(self, coords) -> bool:
+        """Whether an integer residue is zero at theta.  A unit modulo the key
+        prime has a constant gcd with the modulus over Q too, so only a
+        non-unit there needs the exact test."""
+        ell = _KEY_PRIME
+        if _inverse_mod([c % ell for c in coords], self._modulus_mod(ell), ell) is not None:
+            return False
+        return self.element(coords)._vanishes_at_root(*self.bracket[:2])
+
+    def ratio_key(self, rows) -> tuple:
+        """A hashable key of the point (v_0 : v_1 : ... : v_m) of integer
+        residues: (v_1/v_0, ..., v_m/v_0) reduced modulo the key prime ell,
+        so equal points share a key; different points may too.
+
+        When v_0 is no unit modulo ell, its inverse is taken over Q (a factor
+        of the modulus raises ``ReducibleModulus``) and the values are
+        reduced modulo ell, the key a unit v_0 would give.  Values with ell
+        in a denominator, which no rows with a unit v_0 have, are their own
+        key."""
+        ell = _KEY_PRIME
+        pbar = self._modulus_mod(ell)
+        inv = _inverse_mod([c % ell for c in rows[0]], pbar, ell)
+        if inv is not None:
+            products = (qp_mul([c % ell for c in v], inv) for v in rows[1:])
+            return tuple(qp_trim([c % ell for c in qp_divmod(x, pbar)[1]]) for x in products)
+        inv0 = FieldElement(self, self._unit_inverse(rows[0]))
+        values = [(self.element(v) * inv0).coords for v in rows[1:]]
+        if any(c.denominator % ell == 0 for x in values for c in x):
+            return tuple(values)
+        return tuple(
+            qp_trim([c.numerator * pow(c.denominator, -1, ell) % ell for c in x]) for x in values
+        )
+
+    def same_point(self, a, b) -> bool:
+        """Whether integer rows a and b, each with a unit v_0, name the same
+        point: a_k * b_0 == b_k * a_0 modulo the modulus for every k."""
+        p = self.modulus.coeffs
+        return all(
+            not qp_divmod(qp_sub(qp_mul(ak, b[0]), qp_mul(bk, a[0])), p)[1]
+            for ak, bk in zip(a[1:], b[1:])
+        )
+
+    def _unit_inverse(self, coords) -> tuple[Fraction, ...]:
+        """The inverse of a residue by the exact extended gcd with the modulus;
+        a gcd of positive degree is a factor of the modulus, reported so the
+        caller can fix the field."""
+        g, u = qp_ext_gcd(tuple(map(Fraction, coords)), self._qmodulus)
+        if qp_deg(g) > 0:
+            factor = qp_primitive_int(g)
+            raise ReducibleModulus(
+                f"modulus {self.modulus.pretty()} has factor {factor.pretty()}",
+                factor=factor,
+            )
+        return tuple(c / g[0] for c in u)
+
+    def _modulus_mod(self, ell: int) -> list[int]:
+        return [c % ell for c in self.modulus.coeffs]
 
     @property
     def degree(self) -> int:
@@ -221,21 +402,12 @@ class FieldElement:
     def inverse(self) -> "FieldElement":
         """Multiplicative inverse via extended Euclid against the modulus.
 
-        A non-constant gcd means the modulus factors; the factor found is
-        reported so the caller can fix the field.
+        A non-constant gcd means the modulus factors: ``ReducibleModulus``
+        reports the factor found.
         """
         if self.is_zero():
             raise ZeroInverse("inverse of zero field element")
-        g, u = self._gcd_with_modulus()
-        if qp_deg(g) > 0:
-            factor = qp_primitive_int(g)
-            raise ReducibleModulus(
-                f"modulus {self.field.modulus.pretty()} has factor {factor.pretty()}",
-                factor=factor,
-            )
-        scale = 1 / g[0]
-        inv = [c * scale for c in u]
-        return self.field.element(inv)
+        return self.field.element(self.field._unit_inverse(self.coords))
 
     def __truediv__(self, other):
         rhs = self._coerce(other)
@@ -274,16 +446,12 @@ class FieldElement:
                 return a, b
 
     def floor(self) -> int:
-        """Greatest integer <= value, decided by exact interval refinement."""
-        for step, (a, b, lo, hi) in enumerate(self._enclosures()):
-            fa, fb = floor(a), floor(b)
-            if fa == fb:
-                return fa
-            # The value may be exactly the straddled integer fb; only a
-            # reducible modulus can make that true, so test it rarely.
-            if fb - fa == 1 and step % _EXACT_TEST_EVERY == _EXACT_TEST_EVERY - 1:
-                if (self - fb)._vanishes_at_root(lo, hi):
-                    return fb
+        """Greatest integer <= value: ``ratio_floors`` of the residue scaled
+        to integers over that scale."""
+        d = lcm(*(c.denominator for c in self.coords))
+        num = [c.numerator * (d // c.denominator) for c in self.coords]
+        den = [d] + [0] * (len(num) - 1)
+        return self.field.ratio_floors(den, [num], FLOOR_BITS)[0][0]
 
     __floor__ = floor
 
@@ -294,3 +462,29 @@ class FieldElement:
         # constant gcd changes sign nowhere).
         gpoly = qp_primitive_int(self._gcd_with_modulus()[0])
         return gpoly.sign_at(lo) * gpoly.sign_at(hi) < 0
+
+
+def _inverse_mod(a, p, ell: int) -> list[int] | None:
+    """The inverse of a modulo the monic p over F_ell, or None when their gcd
+    is not constant: extended Euclid on (p, a), tracking a's cofactor s with
+    s * a == r (mod p) for each remainder r.  Each elimination scales by the
+    divisor's lead instead of dividing, so one field inverse fixes the scale
+    at the end."""
+    r0, r1 = p, qp_trim(a)
+    s0, s1 = (), (1,)
+    while len(r1) > 1:
+        lead, n = r1[-1], len(r1) - 1
+        while len(r0) > n:
+            c, k = r0[-1], len(r0) - 1 - n
+            r0 = [lead * x for x in r0]
+            s0 = [lead * x for x in s0] + [0] * (k + len(s1) - len(s0))
+            for j, y in enumerate(r1):
+                r0[k + j] -= c * y
+            for j, y in enumerate(s1):
+                s0[k + j] -= c * y
+            r0, s0 = qp_trim([x % ell for x in r0]), qp_trim([x % ell for x in s0])
+        r0, r1, s0, s1 = r1, r0, s1, s0
+    if not r1:
+        return None
+    c = pow(r1[0], -1, ell)
+    return [x * c % ell for x in s1]

@@ -1,8 +1,9 @@
 """Integer polynomials: exact and interval evaluation, one bisection step,
 and Sturm root counts.
 
-All interval endpoints are rationals, never floats: a floor or sign
-decision made here is a proof, not an estimate.
+All interval endpoints are rationals or, at a point X/2^bits, integers
+scaled by a power of two, never floats: a floor or sign decision made here
+is a proof, not an estimate.
 """
 
 from __future__ import annotations
@@ -92,6 +93,31 @@ def eval_interval(coeffs: Sequence, lo: Fraction, hi: Fraction) -> tuple[Fractio
     return acc_lo, acc_hi
 
 
+def scaled_eval(coeffs: Sequence[int], x: int, bits: int) -> int:
+    """2^(bits*n) * c(x / 2^bits) for integer coefficients, n = len(coeffs) - 1."""
+    acc = 0
+    for i, c in enumerate(reversed(coeffs)):
+        acc = acc * x + (c << (bits * i))
+    return acc
+
+
+def scaled_box(coeffs: Sequence[int], t: int, bits: int) -> tuple[int, int]:
+    """Integers [lo, hi] holding 2^(bits*n) * c(X / 2^bits) for every X in
+    [t, t + 1], n = len(coeffs) - 1: interval Horner on integers."""
+    lo = hi = coeffs[-1]
+    shift = 0
+    for c in reversed(coeffs[:-1]):
+        shift += bits
+        c <<= shift
+        if t >= 0:  # X >= 0: one product per end, X = t + 1 adds the end itself
+            a, b = lo * t, hi * t
+            lo, hi = (a if lo >= 0 else a + lo) + c, (b + hi if hi >= 0 else b) + c
+        else:
+            ends = (lo * t, lo * (t + 1), hi * t, hi * (t + 1))
+            lo, hi = min(ends) + c, max(ends) + c
+    return lo, hi
+
+
 def bisect_once(
     poly: IntPolynomial, lo: Fraction, hi: Fraction, s_lo: int
 ) -> tuple[Fraction, Fraction, int]:
@@ -138,6 +164,8 @@ def root_count(chain: Sequence[Sequence[Fraction]], lo: Fraction, hi: Fraction) 
 
 # Rational-coefficient polynomial helpers (ascending tuples of Fractions).
 # These back the number-field arithmetic; they are not a public surface.
+# qp_mul, qp_divmod by a monic divisor and qp_trim keep integer
+# coefficients integers.
 
 def qp_trim(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
     n = len(coeffs)
@@ -160,7 +188,7 @@ def qp_deg(coeffs: Sequence[Fraction]) -> int:
 def qp_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
     if not a or not b:
         return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)  # stays in the coefficients' own type
     for i, ai in enumerate(a):
         if ai == 0:
             continue
@@ -186,16 +214,16 @@ def qp_divmod(a: Sequence[Fraction], b: Sequence[Fraction]):
     rem = list(qp_trim(a))
     db = len(b) - 1
     lead = b[-1]
+    # Only the nonzero terms below the lead act; a monic divisor divides nothing.
+    terms = [(j, c) for j, c in enumerate(b[:-1]) if c]
     quo = [Fraction(0)] * max(len(rem) - db, 0)
-    while len(rem) - 1 >= db and rem:
-        shift = len(rem) - 1 - db
-        factor = rem[-1] / lead
+    for shift in reversed(range(len(quo))):
+        factor = rem[shift + db] if lead == 1 else rem[shift + db] / lead
         quo[shift] = factor
-        for j in range(db + 1):
-            rem[shift + j] -= factor * b[j]
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return qp_trim(quo), qp_trim(rem)
+        if factor:
+            for j, c in terms:
+                rem[shift + j] -= factor * c
+    return qp_trim(quo), qp_trim(rem[:db])
 
 
 def qp_ext_gcd(a: Sequence[Fraction], b: Sequence[Fraction]):

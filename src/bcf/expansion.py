@@ -10,30 +10,48 @@ sequences by iterating
 with termination when f_m is exactly zero.  m = 1 is the classical
 continued fraction.
 
-Exact backends snapshot every state.  The dynamics are deterministic, so
-once a number-field state equals an earlier one the digits between them
-repeat forever: the loop stops there and copies that cycle out to the
-requested depth.  Rational tuples terminate (their common denominator
-falls at every step), so only field states are looked up.
+Every backend steps m+1 integer rows instead of values.  The state is the
+point (v_0 : v_1 : ... : v_m), v = D * (1, x_1, ..., x_m), and a step is the
+homogeneous Jacobi-Perron step: a_k = floor(v_k / v_0), then
+(v_0, ..., v_m) <- (v_m - a_m v_0, v_0, v_1 - a_1 v_0, ..., v_(m-1) - a_(m-1) v_0).
+The backends differ in what a row is and how its floor is certified:
 
-A guarded-decimal tuple is a box of inputs.  Along a fixed digit prefix
-the state is a projective image v_k/v_0 of the inputs, v = S * (1, x_1,
-..., x_m) for an integer matrix S, so each digit condition
-a <= v_k/v_0 < a + 1 is a pair of linear inequalities: the set of inputs
-sharing a prefix is convex, and the box lies in it exactly when its 2^m
-corners do: when the least of v_k - a*v_0 is >= 0 and of (a+1)*v_0 - v_k
-is > 0, each read off its coefficient signs.  A guarded step steps v alone.
+- a rational row is one integer, D the common denominator; its floor is
+  integer division, and order 1 is Euclid's algorithm;
+- a number-field row is a vector of integer power-basis coordinates; the
+  field encloses its value on a dyadic bracket of theta
+  (``NumberField.ratio_floors``);
+- a guarded-decimal tuple is a box of inputs, and a row is an integer linear
+  form over the box's unit cube.  Each digit condition a <= v_k/v_0 < a + 1
+  is a pair of linear inequalities, so the inputs sharing a prefix are
+  convex and the box lies among them exactly when its 2^m corners do: when
+  the least of v_k - a*v_0 is >= 0 and of (a+1)*v_0 - v_k is > 0, each read
+  off its coefficient signs.
+
+The step is unimodular, so rows of content 1 keep content 1: scaling the
+inputs once by their least common denominator is the only division.
+
+The dynamics are deterministic, so once a number-field state equals an
+earlier one the digits between them repeat forever: the loop stops there
+and copies that cycle out to the requested depth.  States are looked up by
+a key modulo a prime (``NumberField.ratio_key``), and a key hit is
+confirmed exactly.  Rational tuples terminate (their common denominator
+falls at every step), so only field states are looked up.  An exact
+expansion keeps its first rows and rebuilds its states only when they are
+read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import cycle, islice
-from math import floor, lcm
+from math import lcm
 from typing import Sequence
 
-from .arith import FieldElement, GuardedDecimal, RealValue
+from .arith import FieldElement, GuardedDecimal, NumberField, RealValue
+from .arith.numberfield import FLOOR_BITS
 from .errors import AmbiguousFloor, MixedFields, NegativeInput
 
 
@@ -53,21 +71,21 @@ class ExpansionState:
 
 @dataclass(frozen=True)
 class Expansion:
-    """m digit sequences plus optional exact state snapshots.
+    """m digit sequences, and for exact inputs the states behind them.
 
-    ``digits[k][i]`` is the step-i digit of sequence k+1.  ``states[i]``
-    (exact backends only) is the state that produced step i's digits.
-    ``terminated_at`` is the step whose m-th fractional part was exactly
-    zero, or None.  ``recurrence`` is the first witness (i, j) of equal
-    states i < j; ``states`` then ends at j - 1 and the digits from j on
-    are copied from the cycle i..j-1.
+    ``digits[k][i]`` is the step-i digit of sequence k+1.  ``terminated_at``
+    is the step whose m-th fractional part was exactly zero, or None.
+    ``recurrence`` is the first witness (i, j) of equal states i < j; the
+    digits from j on are copied from the cycle i..j-1.  ``start`` holds the
+    integer rows of state 0 and the field (None for rationals) of exact
+    inputs, and is None for guarded ones.
     """
 
     order: int
     digits: tuple[tuple[int, ...], ...]
     terminated_at: int | None
-    states: tuple[ExpansionState, ...] | None
     recurrence: tuple[int, int] | None
+    start: tuple[tuple, NumberField | None] | None = None
 
     def __len__(self) -> int:
         return len(self.digits[0])
@@ -76,36 +94,97 @@ class Expansion:
     def is_terminated(self) -> bool:
         return self.terminated_at is not None
 
+    @property
+    def exact(self) -> bool:
+        """Whether the inputs were exact, so that a period is proven or absent."""
+        return self.start is not None
+
+    @cached_property
+    def states(self) -> tuple[ExpansionState, ...] | None:
+        """``states[i]`` is the state that produced step i's digits, up to
+        step j - 1 of a recurrence (i, j); None for guarded inputs.  Built on
+        first read by replaying the rows: one field inverse per state."""
+        if self.start is None:
+            return None
+        rows, field = self.start
+        steps = len(self) if self.recurrence is None else self.recurrence[1]
+        out = []
+        for i, digits in enumerate(islice(zip(*self.digits), steps)):
+            out.append(ExpansionState(_values(rows, field), i))
+            rows = _row_step(rows, digits)
+        return tuple(out)
+
 
 def expand_step(state: ExpansionState) -> tuple[tuple[int, ...], ExpansionState | None]:
     """One expansion step: the digit tuple and the next state (None on
-    exact termination)."""
+    exact termination).  An exact state goes in as rows and comes out as
+    values, which costs one inverse."""
     if isinstance(state.values[0], GuardedDecimal):
-        return _forms_step(state)
-    digits = tuple(floor(v) for v in state.values)
+        digits, forms = _forms_step(state.forms or _box_forms(state.values), state.step)
+        return digits, ExpansionState(state.values, state.step + 1, forms)
+    rows, field = _start_rows(state.values)
+    digits, _ = _floors(rows, field, FLOOR_BITS)
     _check_nonnegative(digits, state.step)
-    nxt = _advance(state.values, digits)
-    return digits, None if nxt is None else ExpansionState(nxt, state.step + 1)
+    rows = _row_step(rows, digits)
+    if not any(rows[0]):
+        return digits, None
+    return digits, ExpansionState(_values(rows, field), state.step + 1)
 
 
-def _forms_step(state: ExpansionState) -> tuple[tuple[int, ...], ExpansionState]:
+def _row_step(rows, digits):
+    """The row step (v_m - a_m v_0, v_0, v_1 - a_1 v_0, ..., v_(m-1) - a_(m-1) v_0)."""
+    v0 = rows[0]
+    rests = [tuple(c - a * c0 for c, c0 in zip(v, v0)) for v, a in zip(rows[1:], digits)]
+    return (rests[-1], v0, *rests[:-1])
+
+
+def _start_rows(values) -> tuple[tuple, NumberField | None]:
+    """(rows, field): D * (1, x_1, ..., x_m) as integer rows, D the least
+    common denominator, of rationals (1-tuples; field None) or of field
+    elements (power-basis coordinates)."""
+    if isinstance(values[0], FieldElement):
+        field, coords = values[0].field, [x.coords for x in values]
+    else:
+        field, coords = None, [(x,) for x in values]
+    d = lcm(*(c.denominator for row in coords for c in row))
+    one = (d,) + (0,) * (len(coords[0]) - 1)
+    return (one, *(tuple(c.numerator * (d // c.denominator) for c in row) for row in coords)), field
+
+
+def _floors(rows, field: NumberField | None, bits: int) -> tuple[tuple[int, ...], int]:
+    """(floor(v_k / v_0) for k = 1..m, the precision used) of exact rows."""
+    if field is None:
+        return tuple(v[0] // rows[0][0] for v in rows[1:]), bits
+    return field.ratio_floors(rows[0], rows[1:], bits)
+
+
+def _values(rows, field: NumberField | None) -> tuple:
+    """The value tuple (v_1/v_0, ..., v_m/v_0) of exact rows."""
+    v0, *vs = rows
+    if field is None:
+        return tuple(Fraction(v[0], v0[0]) for v in vs)
+    inv = field.element(v0).inverse()
+    return tuple(field.element(v) * inv for v in vs)
+
+
+def _forms_step(forms, step: int):
     """Step the integer forms of a guarded box; refuse unless the whole box
     floors alike and no point of it terminates."""
-    v0, *vs = state.forms or _box_forms(state.values)
+    v0, *vs = forms
     digits = tuple(v[0] // v0[0] for v in vs)  # the floors at the all-low corner
-    rests = [tuple(c - a * c0 for c, c0 in zip(v, v0)) for v, a in zip(vs, digits)]
-    for v, rest in zip(vs, rests):
+    nxt = _row_step(forms, digits)
+    for v, rest in zip(vs, (*nxt[2:], nxt[0])):
         if _least(rest) < 0 or _least([c0 - c for c, c0 in zip(rest, v0)]) <= 0:
             # The box floors apart, so the floor of its hull refuses.
             lo, hi = _ratio_end(v, v0, 1), _ratio_end(v, v0, -1)
             GuardedDecimal((lo + hi) / 2, (hi - lo) / 2).floor()
-    _check_nonnegative(digits, state.step)
-    if _least(rests[-1]) == 0:
+    _check_nonnegative(digits, step)
+    if _least(nxt[0]) == 0:
         raise AmbiguousFloor(
-            f"component {len(digits)} at step {state.step} may have fractional "
+            f"component {len(digits)} at step {step} may have fractional "
             "part exactly zero: the guard band reaches zero; supply more trusted digits"
         )
-    return digits, ExpansionState(state.values, state.step + 1, (rests[-1], v0, *rests[:-1]))
+    return digits, nxt
 
 
 def _box_forms(box) -> tuple[tuple[int, ...], ...]:
@@ -146,19 +225,10 @@ def _check_nonnegative(digits: tuple[int, ...], step: int):
             )
 
 
-def _advance(values, digits):
-    """The exact next value tuple, or None when the last fraction is zero."""
-    fracs = tuple(v - d for v, d in zip(values, digits))
-    last = fracs[-1]
-    if last == 0:
-        return None
-    inv = 1 / last
-    return (inv,) + tuple(f * inv for f in fracs[:-1])
-
-
 def expand(values: Sequence[RealValue | int], max_depth: int) -> Expansion:
-    """Iterate expand_step up to ``max_depth`` digit tuples, termination or
-    the first exact state recurrence, whose cycle fills the rest."""
+    """Step the rows of ``values`` up to ``max_depth`` digit tuples, to
+    termination or to the first exact state recurrence, whose cycle fills
+    the rest."""
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
     vals = tuple(Fraction(v) if isinstance(v, int) else v for v in values)
@@ -170,42 +240,51 @@ def expand(values: Sequence[RealValue | int], max_depth: int) -> Expansion:
             "all expansion inputs must share one backend (and one field); got "
             + ", ".join(sorted(str(k) for k in keys))
         )
-    exact = not isinstance(vals[0], GuardedDecimal)
-    seen: dict | None = {} if isinstance(vals[0], FieldElement) else None
+    guarded = isinstance(vals[0], GuardedDecimal)
+    if guarded:
+        rows, field, start = _box_forms(vals), None, None
+    else:
+        rows, field = start = _start_rows(vals)
+    bits = FLOOR_BITS
+    seen: dict[tuple, list[int]] = {}  # field inputs: key -> the steps holding it
+    held: list[tuple] = []  # field inputs: the rows of every state
+    key = field.ratio_key(rows) if field is not None else None
 
-    rows: list[tuple[int, ...]] = []
-    states: list[ExpansionState] = []
+    out: list[tuple[int, ...]] = []
     terminated_at: int | None = None
     recurrence: tuple[int, int] | None = None
-
-    state: ExpansionState | None = ExpansionState(vals, 0)
     for i in range(max_depth):
-        assert state is not None
-        if seen is not None and seen.setdefault(state.values, i) != i:
-            recurrence = (seen[state.values], i)
-            break
-        if exact:
-            states.append(state)
-        digits, state = expand_step(state)
-        rows.append(digits)
+        if field is not None:
+            # Equal states share a key; a key hit is confirmed exactly.
+            hits = seen.setdefault(key, [])
+            j = next((j for j in hits if field.same_point(held[j], rows)), None)
+            if j is not None:
+                recurrence = (j, i)
+                break
+            hits.append(i)
+            held.append(rows)
+        if guarded:
+            digits, rows = _forms_step(rows, i)
+        else:
+            digits, bits = _floors(rows, field, bits)
+            _check_nonnegative(digits, i)
+            rows = _row_step(rows, digits)
+            if field is not None and any(rows[0]):
+                # Proves the new v_0 a unit, or raises ReducibleModulus.
+                key = field.ratio_key(rows)
+        out.append(digits)
         if i >= 1 and digits[0] < 1:
             raise AssertionError(
                 f"first-sequence digit {digits[0]} < 1 at step {i}; "
                 "expansion invariant broken"
             )
-        if state is None:
+        if not any(rows[0]):
             terminated_at = i
             break
 
     if recurrence is not None:
-        rows += islice(cycle(rows[recurrence[0] :]), max_depth - len(rows))
-    return Expansion(
-        order=len(vals),
-        digits=tuple(zip(*rows)),
-        terminated_at=terminated_at,
-        states=tuple(states) if exact else None,
-        recurrence=recurrence,
-    )
+        out += islice(cycle(out[recurrence[0] :]), max_depth - len(out))
+    return Expansion(len(vals), tuple(zip(*out)), terminated_at, recurrence, start)
 
 
 def _backend_key(x: RealValue):

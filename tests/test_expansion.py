@@ -2,21 +2,24 @@ import itertools
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bcf.arith import GuardedDecimal, IntPolynomial, NumberField
+from bcf.arith import GuardedDecimal, IntPolynomial, NumberField, numberfield
 from bcf.closedform import allones_poly
 from bcf.errors import AmbiguousFloor, MixedFields, NegativeInput
 from bcf.expansion import ExpansionState, expand, expand_step
+from bcf.expansion import _row_step as row_step
 
 TRIB = NumberField(IntPolynomial((-1, -1, -1, 1)), 1, 2)
 MOORE = NumberField(IntPolynomial((-1, 0, -1, 1)), 1, 2)
 GOLDEN = NumberField(IntPolynomial((-1, -1, 1)), 1, 2)
 QUARTIC = NumberField(IntPolynomial((-2, 0, 0, 0, 1)), 1, 2)
+CBRT2 = NumberField(IntPolynomial((-2, 0, 0, 1)), 1, 2)
 
 
 def classic_cf(p: int, q: int) -> list[int]:
@@ -70,18 +73,44 @@ def test_tribonacci_pair_is_fixed_point():
 
 
 def test_fixed_point_stops_after_one_step(monkeypatch):
-    calls = []
+    steps = []
 
-    def counted(state):
-        calls.append(state.step)
-        return expand_step(state)
+    def counted(rows, digits):
+        steps.append(digits)
+        return row_step(rows, digits)
 
-    monkeypatch.setattr("bcf.expansion.expand_step", counted)
+    monkeypatch.setattr("bcf.expansion._row_step", counted)
     th = TRIB.theta()
     e = expand([th, 1 + th.inverse()], 1000)
-    assert calls == [0]
+    assert steps == [(1, 1)]
     assert e.digits == ((1,) * 1000, (1,) * 1000)
     assert e.recurrence == (0, 1)
+
+
+def test_irreducible_field_rows_need_no_exact_inverse(monkeypatch):
+    # Floors come from dyadic enclosures and recurrence keys from inverses
+    # modulo a prime, so a field tuple expands without one rational gcd.
+    th = CBRT2.theta()
+    pair = [th, th * th]
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(numberfield, "qp_ext_gcd", counted("qp_ext_gcd", numberfield.qp_ext_gcd))
+    monkeypatch.setattr(
+        numberfield.FieldElement, "inverse", counted("inverse", numberfield.FieldElement.inverse)
+    )
+    assert len(expand([th], 120)) == 120
+    assert len(expand(pair, 120)) == 120
+    assert calls == {}
+    # Reading the states pays one inverse each.
+    assert len(expand([th], 5).states) == 5
+    assert calls["inverse"] == 5
 
 
 def test_moore_pair_digits():

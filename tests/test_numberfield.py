@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcf.arith import IntPolynomial, NumberField
-from bcf.arith.polynomials import root_count, sturm_chain
+from bcf.arith import IntPolynomial, NumberField, numberfield
+from bcf.arith.polynomials import qp_divmod, qp_mul, root_count, sturm_chain
 from bcf.errors import (
     MixedFields,
     NonIsolatingInterval,
@@ -180,10 +181,13 @@ def test_sign_and_compare():
 
 
 def test_interval_brackets_and_shrinks():
-    th = QUARTIC.theta()  # 2^(1/4)
+    # A fresh field: a bracket other tests refined is far narrower, and the
+    # 10-digit truncation below lies under 2^(1/4) = 1.18920711500272...
+    th = NumberField(QUARTIC.modulus, 1, 2).theta()  # 2^(1/4)
     lo, hi = th.interval(frac(1, 10**10))
     assert hi - lo <= frac(1, 10**10)
     assert lo <= Fraction("1.1892071150") <= hi
+    assert lo**4 <= 2 <= hi**4
 
 
 def test_field_arithmetic_matches_interval_products():
@@ -274,3 +278,26 @@ def test_decisions_do_not_depend_on_the_bracket_they_start_from(modulus, rows):
         assert b - a <= tight and d - c <= tight
         assert max(a, c) <= min(b, d)
         assert n <= max(b, d) and min(a, c) < n + 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([(1, 0, 0, 1), (3, 0, 1), (2, 1, 1, 1), (4, 0, 0, 0, 1), (1, 1)]),
+    st.lists(st.integers(-12, 12), min_size=1, max_size=4),
+)
+def test_inverse_mod_a_small_prime_matches_brute_force(p, a):
+    # Over F_5, a is a unit modulo the monic p exactly when some residue b
+    # has a*b == 1; the inverse found must be one.
+    ell, d = 5, len(p) - 1
+    a = [c % ell for c in a[:d]]
+
+    def times(x, y):
+        return tuple(c % ell for c in qp_divmod(qp_mul(x, y), p)[1]) + (0,) * d
+
+    one = (1,) + (0,) * (2 * d)
+    units = [b for b in itertools.product(range(ell), repeat=d) if times(a, b)[:d] == one[:d]]
+    inv = numberfield._inverse_mod(a, p, ell)
+    if not units:
+        assert inv is None
+    else:
+        assert inv is not None and times(a, inv)[:d] == one[:d]

@@ -1,12 +1,16 @@
 import math
 import random
 from fractions import Fraction
+from itertools import cycle, islice
+from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bcf.arith import GuardedDecimal, IntPolynomial, NumberField
+from bcf.arith import FieldElement, GuardedDecimal, IntPolynomial, NumberField, numberfield
 from bcf.closedform import allones_poly, alpha_cubic
+from bcf.errors import BcfError, NegativeInput
 from bcf.expansion import ExpansionState, expand, expand_step
 from bcf.periodicity import (
     APPARENT,
@@ -204,3 +208,93 @@ def test_apparent_scan_matches_reference_on_random_tables():
         )
         r = apparent_digit_period(digits)
         assert (r.status, r.preperiod, r.period) == slow_apparent_period(digits), digits
+
+
+def operator_expansion(values, max_depth):
+    """Test-only oracle, the operator loop: step the value tuple by
+    ``math.floor``, ``-``, ``== 0`` and ``1 /``, look each field state up in a
+    dict, stop at the first repeat.  Returns (digits, terminated_at,
+    witness, states)."""
+    values, rows, states = tuple(values), [], []
+    seen, terminated_at, witness = {}, None, None
+    for i in range(max_depth):
+        if isinstance(values[0], FieldElement) and seen.setdefault(values, i) != i:
+            witness = (seen[values], i)
+            break
+        states.append(ExpansionState(values, i))
+        digits = tuple(math.floor(v) for v in values)
+        for k, d in enumerate(digits):
+            if d < 0:
+                raise NegativeInput(
+                    f"component {k + 1} at step {i} has negative floor {d}; "
+                    "only non-negative reals are expandable"
+                )
+        fracs = [v - d for v, d in zip(values, digits)]
+        rows.append(digits)
+        if fracs[-1] == 0:
+            terminated_at = i
+            break
+        inv = 1 / fracs[-1]
+        values = (inv, *(f * inv for f in fracs[:-1]))
+    if witness is not None:
+        rows += islice(cycle(rows[witness[0] :]), max_depth - len(rows))
+    return tuple(zip(*rows)), terminated_at, witness, tuple(states)
+
+
+def outcome(run, values, depth):
+    try:
+        return run(values, depth)
+    except BcfError as exc:
+        return type(exc), str(exc)
+
+
+def row_outcome(values, depth):
+    e = expand(values, depth)
+    return e.digits, e.terminated_at, e.recurrence, e.states
+
+
+NEG_SQRT2 = NumberField(IntPolynomial((-2, 0, 1)), -2, -1)  # theta = -sqrt(2)
+NEG_GOLDEN = NumberField(IntPolynomial((-1, -1, 1)), -1, Fraction(1, 2))  # theta < 0 < hi
+GOLDEN_CONJ = NumberField(IntPolynomial((-1, 1, 1)), -1, 1)  # lo < 0 < theta
+CUBIC_ZERO = NumberField(IntPolynomial((-1, 1, 0, 1)), -1, 1)  # x^3 + x - 1, lo < 0
+SPLIT = NumberField(IntPolynomial((6, -2, -3, 1)), 1, 2)  # (x - 3)(x^2 - 2), theta = sqrt 2
+X2_MINUS_1 = NumberField(IntPolynomial((-1, 0, 1)), Fraction(1, 2), Fraction(3, 2))
+
+
+@st.composite
+def field_tuples(draw, fields):
+    """Order 1-3 tuples of small elements of one of ``fields``, each negated
+    when its floor is negative (a rare negative floor is left to refuse)."""
+    field = draw(st.sampled_from(fields))
+    coord = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+    values = []
+    for _ in range(draw(st.integers(1, 3))):
+        x = field.element(draw(st.lists(coord, min_size=1, max_size=field.degree)))
+        values.append(-x if draw(st.integers(0, 9)) and math.floor(x) < 0 else x)
+    return values
+
+
+rational_tuples = st.lists(
+    st.builds(Fraction, st.integers(-3, 10**6), st.integers(1, 10**4)), min_size=1, max_size=3
+)
+oracle_inputs = st.one_of(
+    rational_tuples,
+    expansion_inputs,
+    field_tuples([NEG_SQRT2, NEG_GOLDEN, GOLDEN_CONJ, CUBIC_ZERO]),
+    field_tuples([SPLIT, X2_MINUS_1]),
+)
+
+
+@pytest.mark.parametrize("prime", [None, 5])
+@settings(max_examples=120, deadline=None)
+@given(oracle_inputs, st.integers(1, 30))
+@example([SPLIT.theta() ** 2], 5)  # floor 2 exactly, then the factor x^2 - 2
+@example([X2_MINUS_1.theta()], 3)  # floor 1 exactly, then the factor x - 1
+@example([-NEG_SQRT2.theta()], 12)  # sqrt 2 on a negative theta
+@example([NEG_GOLDEN.theta() + 1], 12)
+@example(quartic_triple(2), 20)
+def test_expand_matches_the_operator_oracle(prime, values, depth):
+    # Prime 5 makes key collisions, exact confirmations and non-unit v_0
+    # (the exact-key fallback) common.
+    with mock.patch.object(numberfield, "_KEY_PRIME", prime or numberfield._KEY_PRIME):
+        assert outcome(row_outcome, values, depth) == outcome(operator_expansion, values, depth)

@@ -17,6 +17,7 @@ from bcf.arith.polynomials import (
     qp_mul,
     qp_primitive_int,
     qp_sub,
+    qp_trim,
 )
 from bcf.closedform import allones_poly, alpha_cubic
 from bcf.errors import NonIsolatingInterval
@@ -156,13 +157,70 @@ def test_bisection_evaluates_only_the_midpoint(monkeypatch):
 
     monkeypatch.setattr(polynomials, "qp_eval", counted("qp_eval", polynomials.qp_eval))
     monkeypatch.setattr(numberfield, "bisect_once", counted("bisect", numberfield.bisect_once))
+    monkeypatch.setattr(numberfield, "scaled_eval", counted("scaled_eval", numberfield.scaled_eval))
+    lo, hi, s_lo = theta.field.bracket
+    bisect_once(theta.field.modulus, lo, hi, s_lo)
+    assert calls == {"qp_eval": 1}
+    calls.clear()
     first = expand([theta], 60)
-    # Every floor starts from the field's bracket, so the deepest floor
-    # sets the count; a second run finds every floor settled already.
-    assert calls == {"bisect": 10, "qp_eval": 10}
+    # The floors read a dyadic bracket of theta that Newton steps refine to
+    # 64, 128 and 256 bits, without a bisection; a second run finds it
+    # settled already.
+    assert calls == {"scaled_eval": 36}
     calls.clear()
     assert expand([theta], 60) == first
     assert calls == {}
+
+
+@pytest.mark.parametrize(
+    "poly, lo, hi",
+    [(TRIBONACCI, 1, 2), (SQRT2, -2, -1), (IntPolynomial((-1, 1, 1)), -1, 1),
+     (IntPolynomial((-1, -1, 1)), -1, Fraction(1, 2)), (X2_MINUS_1, Fraction(1, 2), 3),
+     (IntPolynomial((-1, 9, -6, 1)), 1, 3), (TETRANACCI, 0, 5)],
+)
+def test_dyadic_cell_holds_theta_and_tightens_the_bracket(poly, lo, hi):
+    field = NumberField(poly, lo, hi)
+    widths = []
+    for bits in (1, 7, 64, 8, 300, 1000):
+        t = field.dyadic(bits)
+        # The cell meets a bisection bracket of theta 2^8 times narrower.
+        a, b = root_bracket(poly, lo, hi, Fraction(1, 2 ** (bits + 8)))
+        assert Fraction(t, 2**bits) < b and a < Fraction(t + 1, 2**bits)
+        blo, bhi, s_lo = field.bracket
+        assert lo <= blo < bhi <= hi
+        assert poly.sign_at(blo) == s_lo == -poly.sign_at(bhi)
+        widths.append(bhi - blo)
+    assert widths == sorted(widths, reverse=True)
+
+
+def reference_divmod(a, b):
+    """Test-only copy of the general long division: divide by the lead and
+    subtract every divisor term."""
+    b = qp_trim(b)
+    rem = list(qp_trim(a))
+    quo = [Fraction(0)] * max(len(rem) - len(b) + 1, 0)
+    while rem and len(rem) >= len(b):
+        shift = len(rem) - len(b)
+        factor = rem[-1] / b[-1]
+        quo[shift] = factor
+        for j, c in enumerate(b):
+            rem[shift + j] -= factor * c
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return qp_trim(quo), qp_trim(rem)
+
+
+@given(
+    st.lists(st.fractions(-20, 20, max_denominator=6), max_size=9),
+    st.lists(st.sampled_from([0, 0, 1, -1, 2, Fraction(-3, 2), 5]), max_size=6),
+    st.sampled_from([1, 1, 2, -1, Fraction(1, 3)]),
+)
+def test_qp_divmod_matches_the_general_division(a, b, lead):
+    b = tuple(map(Fraction, b)) + (Fraction(lead),)
+    assert qp_divmod(a, b) == reference_divmod(a, b)
+    q, r = qp_divmod(a, b)
+    assert qp_sub(qp_trim(a), qp_mul(q, b)) == r
+    assert len(r) < len(b)
 
 
 def test_qp_division_and_gcd():
