@@ -193,9 +193,11 @@ def cmd_convergents(args):
     spec = _load_spec(args)
     if args.upto < 0:
         raise ParseError("--upto must be >= 0")
+    if args.places < 0:
+        raise ParseError("--places must be >= 0")
     upto = args.upto
     if spec.max_depth is not None:
-        upto = min(upto, spec.max_depth)
+        upto = min(upto, max(spec.max_depth, 0))
     table = convergent_table(spec, upto)
     if args.format == "json":
         payload = {
@@ -290,6 +292,8 @@ def cmd_cubic_hunt(args):
         v, err = value, Fraction(0)
     else:
         raise ParseError("cubic-hunt takes a dec: or rat: value")
+    if args.places < 0:
+        raise ParseError("--places must be >= 0")
     hits = cubic_hunt(v, args.height, tol, value_error=err)
     if args.format == "json":
         payload = {

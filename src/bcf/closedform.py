@@ -1,4 +1,4 @@
-"""Closed-form polynomials of period-1 expansions and a brute-force
+"""Closed-form polynomials of period-1 expansions and an exhaustive
 integer-cubic probe.
 
 The constant digit pair (a, b) with a >= 1 has as convergent limit the
@@ -66,7 +66,9 @@ def cubic_hunt(
     value_error=Fraction(0),
 ) -> list[CubicCandidate]:
     """All primitive integer cubics c3*x^3+c2*x^2+c1*x+c0 with c3 >= 1,
-    |ci| <= height and |residual at value| < tol, sorted by residual.
+    |ci| <= height and |residual at value| < tol, sorted by residual.  The
+    search is exhaustive, tests residuals exactly on integers, and scans per
+    (c3, c2) only the c1 window that a hit provably needs.
 
     ``value_error`` is the caller's bound on |value - true|; it must
     undercut tol by three decimal digits or the hunt refuses (a residual
@@ -87,26 +89,33 @@ def cubic_hunt(
             f"needs +/-{tol * _PRECISION_MARGIN} (three extra decimal digits)"
         )
 
-    v1 = value
-    v2 = v1 * v1
-    v3 = v2 * v1
-    span = floor(tol + Fraction(1, 2))  # |s + c0| < tol puts c0 within span of -round(s)
+    # With value = p/q, s = c3*p^3 + c2*p^2*q + c1*p*q^2 is q^3*(c3*x^3 + c2*x^2 + c1*x)
+    # and |s/q^3 + c0| < tol reads |s + c0*q^3| * tol.den < tol.num * q^3.
+    p, q = value.numerator, value.denominator
+    v3, v2, v1, qq = p * p * p, p * p * q, p * q * q, q * q * q
+    tn, td = tol.numerator, tol.denominator
+    span = floor(tol + Fraction(1, 2))  # c0 lies within span of -round(s/q^3)
+    # A hit needs |c0| <= height and |s/q^3 + c0| < tol, so |s|/q^3 < height + tol
+    # < height + span + 1/2, that is 2|s| < bound.  With s = t + c1*v1 that is an
+    # open c1 window around -t/v1; any c1 outside it leaves |s/q^3 + c0| > tol for
+    # every |c0| <= height, so the window skips no hit.  v1 = 0 keeps every c1.
+    bound = (2 * (height + span) + 1) * qq
+    sign, d = (1, 2 * v1) if v1 >= 0 else (-1, -2 * v1)
     found: list[CubicCandidate] = []
     for c3 in range(1, height + 1):
-        t3 = c3 * v3
         for c2 in range(-height, height + 1):
-            t32 = t3 + c2 * v2
-            for c1 in range(-height, height + 1):
-                s = t32 + c1 * v1
-                r = -round(s)
-                for c0 in range(r - span, r + span + 1):
-                    if abs(c0) > height:
-                        continue
-                    residual = abs(s + c0)
-                    if residual >= tol:
-                        continue
-                    if gcd(c3, abs(c2), abs(c1), abs(c0)) != 1:
-                        continue
-                    found.append(CubicCandidate((c3, c2, c1, c0), residual))
+            t = c3 * v3 + c2 * v2
+            u = 2 * sign * t
+            lo = max(-height, (-bound - u) // d + 1) if d else -height
+            hi = min(height, -((u - bound) // d) - 1) if d else height
+            for c1 in range(lo, hi + 1):
+                s = t + c1 * v1
+                r, rem = divmod(s, qq)  # r = round(s/q^3), ties to even as round() does
+                if 2 * rem > qq or (2 * rem == qq and r & 1):
+                    r += 1
+                for c0 in range(max(-r - span, -height), min(-r + span, height) + 1):
+                    num = abs(s + c0 * qq)
+                    if num * td < tn * qq and gcd(c3, c2, c1, c0) == 1:
+                        found.append(CubicCandidate((c3, c2, c1, c0), Fraction(num, qq)))
     found.sort(key=lambda c: (c.residual, c.coeffs))
     return found

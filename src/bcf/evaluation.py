@@ -177,17 +177,20 @@ def reconstruct(
     if tol <= 0:
         raise ValueError("tol must be positive")
     if spec.cycle is None:
-        return convergent(spec, spec.head_length - 1), Fraction(0)
-    stream = convergents(spec)
-    prev = next(stream)
-    recent: list[Fraction] = []
-    for cur in itertools.islice(stream, max_depth):
-        diff = max(abs(a - b) for a, b in zip(cur, prev))
+        return convergent(spec, max(spec.max_depth, 0)), Fraction(0)
+    # Between columns X and Y component k moves by |X_k*Y_0 - Y_k*X_0| / (X_0*Y_0):
+    # one denominator for all, so the largest numerator is compared with tol.
+    columns = _product_columns(spec)
+    prev = next(columns)
+    recent: list[tuple[int, int]] = []
+    for cur in itertools.islice(columns, max_depth):
+        num = max(abs(x * cur[0] - y * prev[0]) for x, y in zip(prev[1:], cur[1:]))
+        den = prev[0] * cur[0]
         prev = cur
-        if diff < tol:
-            recent.append(diff)
+        if num * tol.denominator < tol.numerator * den:
+            recent.append((num, den))
             if len(recent) == 3:
-                return cur, max(recent)
+                return _ratios(cur), max(Fraction(n, d) for n, d in recent)
         else:
             recent.clear()
     raise NoConvergence(

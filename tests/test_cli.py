@@ -275,6 +275,26 @@ def test_exit_2_on_rejected_parameter(capsys, argv, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cubic-hunt", "--value", "rat:3/2", "--height", "2", "--tol", "1e-9"],
+        ["cubic-hunt", "--value", "rat:3/2", "--height", "3", "--tol", "1"],
+        ["convergents", "--inline", "(1)/(1)", "--upto", "5"],
+    ],
+)
+def test_exit_2_on_negative_places(capsys, argv, fmt):
+    code, out, err = run_cli(capsys, [*argv, "--places", "-3", "--format", fmt])
+    assert (code, out, err) == (2, "", "error: --places must be >= 0\n")
+
+
+def test_exit_2_on_spec_without_digits(capsys):
+    code, out, err = run_cli(capsys, ["convergents", "--inline", "/", "--upto", "0"])
+    assert (code, out) == (2, "")
+    assert err == "error: spec holds 0 digits per sequence, need 1 and no cycle is present\n"
+
+
 def test_exit_4_on_field_value_exactly_integral(capsys):
     # floor(theta) = 1 exactly for the root 1 of x^2 - 1; the next step
     # then inverts theta - 1 = 0 and finds the factor.

@@ -4,6 +4,8 @@ from itertools import product
 from math import floor, gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcf.arith import IntPolynomial, NumberField
 from bcf.closedform import (
@@ -141,12 +143,15 @@ def test_cubic_hunt_period2_probe():
 
 def cubic_oracle(value, height, tol):
     """cubic_hunt by brute force: every c0 in [-height, height]."""
+    v3, v2 = value**3, value**2
     found = []
     for c3 in range(1, height + 1):
-        for c2, c1, c0 in product(range(-height, height + 1), repeat=3):
-            residual = abs(c3 * value**3 + c2 * value**2 + c1 * value + c0)
-            if residual < tol and gcd(c3, c2, c1, c0) == 1:
-                found.append(CubicCandidate((c3, c2, c1, c0), residual))
+        for c2, c1 in product(range(-height, height + 1), repeat=2):
+            s = c3 * v3 + c2 * v2 + c1 * value
+            for c0 in range(-height, height + 1):
+                residual = abs(s + c0)
+                if residual < tol and gcd(c3, c2, c1, c0) == 1:
+                    found.append(CubicCandidate((c3, c2, c1, c0), residual))
     return sorted(found, key=lambda c: (c.residual, c.coeffs))
 
 
@@ -159,3 +164,34 @@ def test_cubic_hunt_matches_brute_force():
         for height in (1, 2, 3):
             for t in tols:
                 assert cubic_hunt(value, height, t) == cubic_oracle(value, height, t)
+
+
+# Convergent values of the constant pairs, as reconstruct returns them:
+# 40-70-bit numerators and denominators lying close to real cubic roots.
+PROBE_VALUES = [
+    reconstruct(DigitSpec.constant((a, b)), tol(20))[0][0] for a in (1, 2, 3) for b in (0, 1, 2)
+]
+
+
+@st.composite
+def wide_values(draw):
+    den = draw(st.integers(2**40, 2**70))
+    return Fraction(draw(st.integers(-4 * den, 4 * den)), den)
+
+
+hunt_values = st.one_of(
+    st.sampled_from(PROBE_VALUES),
+    wide_values(),
+    st.integers(-60, 60).map(lambda n: Fraction(n, 2)),  # exact halves: rounding ties
+    st.builds(Fraction, st.integers(-3000, 3000), st.sampled_from([1, 3, 4, 8, 100, 997])),
+)
+hunt_tols = st.one_of(
+    st.sampled_from([tol(9), tol(3), Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(7, 4)]),
+    st.fractions(min_value=Fraction(1, 100), max_value=3, max_denominator=100),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hunt_values, st.integers(1, 4), hunt_tols)
+def test_cubic_hunt_matches_brute_force_property(value, height, t):
+    assert cubic_hunt(value, height, t) == cubic_oracle(value, height, t)

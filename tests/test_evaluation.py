@@ -13,6 +13,7 @@ from bcf.evaluation import (
     DigitSpec,
     convergent,
     convergent_table,
+    convergents,
     reconstruct,
     render_tree,
     unroll,
@@ -267,6 +268,54 @@ def test_reconstruct_quartic_triple():
 def test_reconstruct_no_convergence():
     with pytest.raises(NoConvergence):
         reconstruct(UNIT, tol(8), max_depth=5)
+
+
+def test_reconstruct_refuses_spec_without_digits():
+    with pytest.raises(InsufficientDigits, match="spec holds 0 digits per sequence"):
+        reconstruct(DigitSpec(order=2, head=((), ())), tol(6))
+
+
+def fraction_reconstruct(spec: DigitSpec, tol, max_depth: int = 1000):
+    """Test-only oracle: the stopping loop on Fraction convergent tuples."""
+    stream = convergents(spec)
+    prev = next(stream)
+    recent = []
+    for cur in itertools.islice(stream, max_depth):
+        diff = max(abs(a - b) for a, b in zip(cur, prev))
+        prev = cur
+        if diff < tol:
+            recent.append(diff)
+            if len(recent) == 3:
+                return cur, max(recent)
+        else:
+            recent.clear()
+    raise NoConvergence(f"convergents still moved >= {tol} after depth {max_depth}")
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except NoConvergence as exc:
+        return str(exc)
+
+
+def test_reconstruct_step_of_exactly_tol_is_not_small():
+    # The convergents 0 and 1/10000 differ by exactly 1e-4.
+    spec = DigitSpec(order=1, head=((0, 10000),), cycle=((1,),))
+    values, bound = reconstruct(spec, tol(4))
+    assert (values, bound) == fraction_reconstruct(spec, tol(4))
+    assert bound < tol(4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    digit_specs().filter(lambda s: s.cycle is not None and s.order <= 3),
+    st.integers(4, 20).map(tol),
+    st.one_of(st.integers(1, 12), st.just(1000)),
+)
+def test_reconstruct_matches_fraction_loop(spec, t, max_depth):
+    got = outcome(reconstruct, spec, t, max_depth)
+    assert got == outcome(fraction_reconstruct, spec, t, max_depth)
 
 
 # -- trees -----------------------------------------------------------------------
