@@ -1,8 +1,9 @@
 """Exact arithmetic backends: rationals, algebraic number fields, guarded decimals.
 
 Rationals and field elements answer ``math.floor(x)``, ``x - n``, ``x == 0``,
-``1 / x`` and ``x * y`` (``y`` of the same type) exactly; a field decides them
-on its own isolating bracket of theta.  The expansion loop asks none of
+``1 / x`` and ``x * y`` (``y`` of the same type) exactly.  A field encloses
+theta one way: a dyadic cell of its own isolating bracket, on which it
+decides floors and bounds of its elements.  The expansion loop asks none of
 these: it steps integer rows, and asks a field only for certified floors of
 ratios of integer residues on a dyadic bracket of theta
 (``NumberField.ratio_floors``) and for state keys modulo a prime
@@ -16,7 +17,7 @@ from typing import Union
 
 from .guarded import GuardedDecimal
 from .numberfield import FieldElement, NumberField
-from .polynomials import IntPolynomial, eval_interval
+from .polynomials import IntPolynomial
 
 RealValue = Union[Fraction, FieldElement, GuardedDecimal]
 
@@ -25,6 +26,5 @@ __all__ = [
     "FieldElement",
     "NumberField",
     "IntPolynomial",
-    "eval_interval",
     "RealValue",
 ]

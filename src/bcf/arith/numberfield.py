@@ -7,17 +7,14 @@ rational entries.  Products and inverses are the shared rational polynomial
 helpers, reduced modulo p.
 
 Each field keeps one isolating bracket of theta, the tightest found so
-far, and is the package's only root refiner.  It tightens the bracket two
-ways, storing every result back on the field, so later decisions start
-where earlier ones stopped instead of at the user's interval:
-
-- ``dyadic`` fixes theta to a cell [t, t + 1] / 2^bits by integer Newton
-  steps that double the precision, certified by two sign evaluations and
-  backed by bisection.  ``ratio_floors`` encloses integer residues on
-  that cell by interval Horner: every floor, the expansion's and the
-  elements', is decided there.
-- ``brackets`` bisects: element enclosures (``interval``) evaluate the
-  residue on each bracket until it is narrow enough.
+far, and is the package's only root refiner.  ``dyadic`` fixes theta to a
+cell [t, t + 1] / 2^bits by integer Newton steps that double the
+precision, certified by two sign evaluations and backed by bisection, and
+stores the cell back as the bracket, so later decisions start where
+earlier ones stopped instead of at the user's interval.  Integer residues
+are enclosed on that cell by interval Horner: every floor (``ratio_floors``,
+the expansion's and the elements') and every element enclosure
+(``interval``) is decided there.
 
 A floor whose enclosure straddles one integer is settled by a gcd test,
 because the value may be that integer.  Expansion states are keyed modulo
@@ -41,7 +38,6 @@ from ..errors import (
 from .polynomials import (
     IntPolynomial,
     bisect_once,
-    eval_interval,
     qp_deg,
     qp_divmod,
     qp_ext_gcd,
@@ -95,19 +91,6 @@ class NumberField:
         self._qmodulus = chain[0]  # the modulus as rationals, for residues
         self._dmodulus = tuple(k * c for k, c in enumerate(modulus.coeffs))[1:]
         self._cell = (None, 0, 0)  # (bracket, bits, t): the last answer of dyadic
-
-    def brackets(self):
-        """Yield isolating brackets ``(lo, hi)`` of theta without end, the
-        first one the field's current bracket and each next one a bisection
-        of the bracket then current, which is stored back on the field.
-
-        Bisecting an isolating bracket cannot fail and at least halves it,
-        so every consumer that waits for a narrow enough bracket ends."""
-        while True:
-            yield self.bracket[:2]
-            # Read afresh: a decision interleaved with this one may have
-            # tightened the bracket meanwhile.
-            self.bracket = bisect_once(self.modulus, *self.bracket)
 
     def dyadic(self, bits: int) -> int:
         """An integer t with theta in [t, t + 1] / 2^bits.
@@ -225,7 +208,13 @@ class NumberField:
         ell = _KEY_PRIME
         if _inverse_mod([c % ell for c in coords], self._modulus_mod(ell), ell) is not None:
             return False
-        return self.element(coords)._vanishes_at_root(*self.bracket[:2])
+        # Zero at theta iff theta is a common root of the residue and the
+        # modulus, i.e. their gcd changes sign across the isolating bracket
+        # (whose ends are never roots of the modulus, so of the gcd; a
+        # constant gcd changes sign nowhere).
+        g = qp_primitive_int(qp_ext_gcd(tuple(map(Fraction, coords)), self._qmodulus)[0])
+        lo, hi, _ = self.bracket
+        return g.sign_at(lo) * g.sign_at(hi) < 0
 
     def ratio_key(self, rows) -> tuple:
         """A hashable key of the point (v_0 : v_1 : ... : v_m) of integer
@@ -301,10 +290,18 @@ class NumberField:
     def __eq__(self, other) -> bool:
         if not isinstance(other, NumberField):
             return NotImplemented
-        return self.modulus == other.modulus and self.root_interval == other.root_interval
+        if self.modulus != other.modulus:
+            return False
+        if self.root_interval == other.root_interval:
+            return True
+        # Two isolating intervals name one root iff their intersection
+        # holds a root.
+        lo = max(self.root_interval[0], other.root_interval[0])
+        hi = min(self.root_interval[1], other.root_interval[1])
+        return lo < hi and root_count(sturm_chain(self.modulus), lo, hi) >= 1
 
     def __hash__(self) -> int:
-        return hash((self.modulus.coeffs, self.root_interval))
+        return hash(self.modulus.coeffs)
 
     def __repr__(self) -> str:
         lo, hi = self.root_interval
@@ -421,47 +418,41 @@ class FieldElement:
             return NotImplemented
         return lhs * self.inverse()
 
-    def _gcd_with_modulus(self):
-        """(g, u): g = gcd(residue, modulus) and u * residue == g (mod modulus)."""
-        return qp_ext_gcd(self.coords, self.field._qmodulus)
-
     # -- order decisions -----------------------------------------------------
 
-    def _enclosures(self):
-        """Yield ``(a, b, lo, hi)``: the value lies in [a, b] because theta
-        lies in (lo, hi), one per bracket of the field; a rational element
-        yields ``a == b`` at once."""
-        coords = qp_trim(self.coords)
-        for lo, hi in self.field.brackets():
-            a, b = eval_interval(coords, lo, hi)
-            yield a, b, lo, hi
+    def _scaled(self) -> tuple[list[int], int]:
+        """(num, d): integer coordinates num with num / d the residue."""
+        d = lcm(*(c.denominator for c in self.coords))
+        return [c.numerator * (d // c.denominator) for c in self.coords], d
 
     def interval(self, width) -> tuple[Fraction, Fraction]:
-        """Exact rational bounds on the value, at most ``width`` apart."""
+        """Exact rational bounds on the value, at most ``width`` apart.
+
+        The residue is enclosed on the dyadic cell of theta at a precision
+        that doubles from ``FLOOR_BITS`` until the bounds are close enough.
+        The cell comes from the field's current bracket, so the bounds
+        depend on how far earlier decisions refined it; each holds the
+        value."""
         width = Fraction(width)
         if width <= 0:
             raise ValueError("width must be positive")
-        for a, b, _, _ in self._enclosures():
-            if b - a <= width:
-                return a, b
+        num, d = self._scaled()
+        bits = FLOOR_BITS
+        while True:
+            lo, hi = scaled_box(num, self.field.dyadic(bits), bits)
+            scale = d << (bits * (len(num) - 1))
+            if hi - lo <= width * scale:
+                return Fraction(lo, scale), Fraction(hi, scale)
+            bits *= 2
 
     def floor(self) -> int:
         """Greatest integer <= value: ``ratio_floors`` of the residue scaled
         to integers over that scale."""
-        d = lcm(*(c.denominator for c in self.coords))
-        num = [c.numerator * (d // c.denominator) for c in self.coords]
+        num, d = self._scaled()
         den = [d] + [0] * (len(num) - 1)
         return self.field.ratio_floors(den, [num], FLOOR_BITS)[0][0]
 
     __floor__ = floor
-
-    def _vanishes_at_root(self, lo: Fraction, hi: Fraction) -> bool:
-        # value == 0 iff theta is a common root of the residue and the
-        # modulus, i.e. their gcd changes sign across the isolating bracket
-        # (whose ends are never roots of the modulus, so of the gcd; a
-        # constant gcd changes sign nowhere).
-        gpoly = qp_primitive_int(self._gcd_with_modulus()[0])
-        return gpoly.sign_at(lo) * gpoly.sign_at(hi) < 0
 
 
 def _inverse_mod(a, p, ell: int) -> list[int] | None:

@@ -1,9 +1,9 @@
-"""Integer polynomials: exact and interval evaluation, one bisection step,
-and Sturm root counts.
+"""Integer polynomials: exact evaluation, interval evaluation on a dyadic
+cell, one bisection step, and Sturm root counts.
 
-All interval endpoints are rationals or, at a point X/2^bits, integers
-scaled by a power of two, never floats: a floor or sign decision made here
-is a proof, not an estimate.
+Values are rationals or, at a point X/2^bits, integers scaled by a power
+of two, never floats: a floor or sign decision made here is a proof, not
+an estimate.
 """
 
 from __future__ import annotations
@@ -77,20 +77,6 @@ class IntPolynomial:
 
     def __str__(self) -> str:
         return self.pretty()
-
-
-def eval_interval(coeffs: Sequence, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Sound interval Horner evaluation over [lo, hi]."""
-    if lo > hi:
-        raise ValueError("interval endpoints out of order")
-    if not coeffs:
-        return Fraction(0), Fraction(0)
-    acc_lo = acc_hi = Fraction(coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        p1, p2, p3, p4 = acc_lo * lo, acc_lo * hi, acc_hi * lo, acc_hi * hi
-        acc_lo = min(p1, p2, p3, p4) + c
-        acc_hi = max(p1, p2, p3, p4) + c
-    return acc_lo, acc_hi
 
 
 def scaled_eval(coeffs: Sequence[int], x: int, bits: int) -> int:

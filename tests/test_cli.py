@@ -340,6 +340,16 @@ def test_exit_4_on_mixed_fields(capsys):
     assert code == 4
 
 
+def test_one_root_named_by_two_intervals_is_one_field(capsys):
+    sqrt2 = "alg:poly=-2,0,1;elem=0,1;lo=1;hi=2"
+    code, out, err = run_cli(capsys, ["expand", sqrt2, "alg:poly=-2,0,1;elem=1,1;lo=1;hi=3"])
+    assert (code, err) == (0, "")
+    assert (0, out, "") == run_cli(capsys, ["expand", sqrt2, "alg:poly=-2,0,1;elem=1,1;lo=1;hi=2"])
+    code, out, err = run_cli(capsys, ["expand", sqrt2, "alg:poly=-2,0,1;elem=1,1;lo=-2;hi=-1"])
+    assert (code, out) == (4, "")
+    assert "share one backend" in err
+
+
 def test_exit_4_on_non_monic_modulus(capsys):
     code, _, err = run_cli(capsys, ["expand", "alg:poly=-2,0,2;elem=0,1;lo=1;hi=2"])
     assert code == 4

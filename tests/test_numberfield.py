@@ -119,9 +119,19 @@ def test_floor_of_an_exactly_integral_value():
 def test_mixed_fields_rejected():
     with pytest.raises(MixedFields):
         SQRT2.theta() * TRIB.theta()
-    other_interval = NumberField(IntPolynomial((-2, 0, 1)), 0, 2)
+    other_root = NumberField(IntPolynomial((-2, 0, 1)), -2, -1)
+    assert other_root != SQRT2
     with pytest.raises(MixedFields):
-        SQRT2.theta() * other_interval.theta()
+        SQRT2.theta() * other_root.theta()
+
+
+def test_one_root_by_two_intervals_is_one_field():
+    # (1, 2) and (0, 2) both isolate sqrt(2): a Sturm count of (1, 2) finds it.
+    other_interval = NumberField(IntPolynomial((-2, 0, 1)), 0, 2)
+    assert other_interval == SQRT2 and hash(other_interval) == hash(SQRT2)
+    assert SQRT2.theta() * other_interval.theta() == 2
+    assert SQRT2.theta() == other_interval.theta()
+    assert NumberField(IntPolynomial((-2, 0, 1)), 1, 3) == other_interval
 
 
 def test_inverse_roundtrip_random_elements():
@@ -181,13 +191,14 @@ def test_sign_and_compare():
 
 
 def test_interval_brackets_and_shrinks():
-    # A fresh field: a bracket other tests refined is far narrower, and the
-    # 10-digit truncation below lies under 2^(1/4) = 1.18920711500272...
+    # A fresh field, whose bracket no other test refined; 2^(1/4) is
+    # 1.18920711500272..., so its 10-digit truncation lies within 10^-10
+    # below it, as lo does.
     th = NumberField(QUARTIC.modulus, 1, 2).theta()  # 2^(1/4)
     lo, hi = th.interval(frac(1, 10**10))
     assert hi - lo <= frac(1, 10**10)
-    assert lo <= Fraction("1.1892071150") <= hi
     assert lo**4 <= 2 <= hi**4
+    assert abs(lo - Fraction("1.1892071150")) < frac(1, 10**10)
 
 
 def test_field_arithmetic_matches_interval_products():
@@ -232,16 +243,20 @@ def assert_bracket_isolates(field):
 
 def test_interleaved_decisions_only_tighten_the_bracket():
     field = NumberField(CBRT2.modulus, 1, 2)
-    first = field.theta()._enclosures()
-    second = (field.theta() ** 2)._enclosures()
+    theta, square = field.theta(), field.theta() ** 2
     widths = []
-    for gen in [first, first, first, second] * 10:  # second falls behind
-        _, _, lo, hi = next(gen)
-        assert (lo, hi) == field.bracket[:2]
-        widths.append(hi - lo)
+    for k in range(1, 11):
+        # Tight enclosures of theta between loose decisions on theta^2,
+        # which must not widen the bracket the tight ones left.
+        for x, cube, width in ((theta, 2, frac(1, 2 ** (40 * k))), (square, 4, frac(1, 2**10))):
+            assert x.floor() == 1
+            lo, hi = x.interval(width)
+            assert hi - lo <= width and lo**3 <= cube <= hi**3
+            lo, hi, _ = field.bracket
+            widths.append(hi - lo)
+            assert_bracket_isolates(field)
     assert widths == sorted(widths, reverse=True)
-    assert widths[-1] < frac(1, 2**30)
-    assert_bracket_isolates(field)
+    assert widths[-1] < frac(1, 2**400)
 
 
 @functools.cache

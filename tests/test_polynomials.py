@@ -11,13 +11,15 @@ from bcf.arith.numberfield import NumberField
 from bcf.arith.polynomials import (
     IntPolynomial,
     bisect_once,
-    eval_interval,
     qp_divmod,
+    qp_eval,
     qp_ext_gcd,
     qp_mul,
     qp_primitive_int,
     qp_sub,
     qp_trim,
+    scaled_box,
+    scaled_eval,
 )
 from bcf.closedform import allones_poly, alpha_cubic
 from bcf.errors import NonIsolatingInterval
@@ -59,17 +61,26 @@ def test_pretty():
     assert IntPolynomial(()).pretty() == "0"
 
 
-def test_interval_eval_contains_point_values():
-    rng = random.Random(7)
-    for _ in range(50):
-        coeffs = [rng.randint(-5, 5) for _ in range(rng.randint(1, 6))]
-        lo = Fraction(rng.randint(-8, 8), rng.randint(1, 9))
-        hi = lo + Fraction(rng.randint(0, 10), rng.randint(1, 7))
-        a, b = eval_interval(coeffs, lo, hi)
-        for t in (Fraction(0), Fraction(1, 3), Fraction(1), Fraction(2, 3)):
-            x = lo + t * (hi - lo)
-            v = sum(Fraction(c) * x**k for k, c in enumerate(coeffs))
-            assert a <= v <= b
+# Mixed-sign coefficients, zeros among them, down to constant and zero
+# polynomials; cells left of -1, touching 0 (t = -1) and right of 0.
+SCALED_COEFFS = st.lists(
+    st.one_of(st.just(0), st.integers(-(10**6), 10**6)), min_size=1, max_size=7
+)
+SCALED_T = st.one_of(st.sampled_from([-2, -1, 0, 1]), st.integers(-(2**100), 2**100))
+
+
+@given(SCALED_COEFFS, SCALED_T, st.integers(0, 80), st.fractions(0, 1, max_denominator=50))
+def test_interval_eval_contains_point_values(coeffs, t, bits, f):
+    lo, hi = scaled_box(coeffs, t, bits)
+    scale = 2 ** (bits * (len(coeffs) - 1))
+    for x in (t, t + f, t + 1):
+        assert lo <= scale * qp_eval(coeffs, Fraction(x, 2**bits)) <= hi
+
+
+@given(st.one_of(st.just([]), SCALED_COEFFS), SCALED_T, st.integers(0, 80))
+def test_scaled_eval_is_the_exact_value(coeffs, x, bits):
+    scale = 2 ** (bits * max(len(coeffs) - 1, 0))
+    assert scaled_eval(coeffs, x, bits) == scale * qp_eval(coeffs, Fraction(x, 2**bits))
 
 
 def test_refine_root_sqrt2_quarter_width():
@@ -80,16 +91,24 @@ def test_refine_root_sqrt2_quarter_width():
 
 
 def test_refine_root_tribonacci_constant():
-    lo, hi = NumberField(TRIBONACCI, 1, 2).theta().interval(Fraction(1, 10**4))
+    # The constant to its 14 printed decimals, truncated: theta lies in
+    # (target, target + 10^-14).
     target = Fraction("1.83928675521416")
-    assert lo <= target <= hi
+    assert TRIBONACCI.sign_at(target) < 0 < TRIBONACCI.sign_at(target + Fraction(1, 10**14))
+    lo, hi = NumberField(TRIBONACCI, 1, 2).theta().interval(Fraction(1, 10**14))
+    assert hi - lo <= Fraction(1, 10**14)
+    assert 1 <= lo < hi <= 2 and TRIBONACCI.sign_at(lo) < 0 < TRIBONACCI.sign_at(hi)
+    assert abs(lo - target) <= Fraction(1, 10**14)
 
 
 def test_refine_root_tetranacci_ten_decimals():
+    # theta = 1.927561975482925...; the commonly printed 14-digit form of
+    # this constant is only reliable to ~11 decimals.
+    assert TETRANACCI.sign_at(Fraction("1.927561975482925")) < 0
+    assert TETRANACCI.sign_at(Fraction("1.927561975482926")) > 0
     lo, hi = NumberField(TETRANACCI, 1, 2).theta().interval(Fraction(1, 10**12))
-    # exact bisection value 1.927561975482925...; the commonly printed
-    # 14-digit form of this constant is only reliable to ~11 decimals
-    assert lo <= Fraction("1.927561975482925") <= hi
+    assert hi - lo <= Fraction(1, 10**12)
+    assert 1 <= lo < hi <= 2 and TETRANACCI.sign_at(lo) < 0 < TETRANACCI.sign_at(hi)
     assert abs(lo - Fraction("1.9275619754")) < Fraction(1, 10**10)
 
 
@@ -137,11 +156,17 @@ ORACLE_CASES = (
 
 
 @given(st.sampled_from(ORACLE_CASES), st.integers(0, 60))
-def test_field_interval_is_the_bisection_oracle_bracket(case, k):
-    poly, lo, hi = case
+def test_field_interval_encloses_theta(case, k):
+    poly, lo0, hi0 = case
     width = Fraction(1, 2**k)
-    got = NumberField(poly, lo, hi).theta().interval(width)
-    assert got == root_bracket(poly, lo, hi, width)
+    lo, hi = NumberField(poly, lo0, hi0).theta().interval(width)
+    assert lo <= hi <= lo + width
+    # theta is the only root in (lo0, hi0), where the modulus has the sign
+    # s left of theta and -s right of it: theta is in [a, b] iff the sign
+    # at a is not -s and the sign at b is not s.
+    a, b = max(lo, Fraction(lo0)), min(hi, Fraction(hi0))
+    s = poly.sign_at(lo0)
+    assert a <= b and s * poly.sign_at(a) >= 0 >= s * poly.sign_at(b)
 
 
 def test_bisection_evaluates_only_the_midpoint(monkeypatch):
