@@ -17,15 +17,19 @@ the expansion's and the elements') and every element enclosure
 (``interval``) is decided there.
 
 A floor whose enclosure straddles one integer is settled by a gcd test,
-because the value may be that integer.  Expansion states are keyed modulo
-a prime, where an inverse costs one gcd of small integers; only a residue
-that is no unit there needs the exact rational gcd.
+because the value may be that integer.  Expansion states are keyed by their
+image under theta -> n in Z/M, for an integer n and a divisor M of p(n)
+(near 2^30 for small coefficients) that each field chooses once
+(``_key_point``).  A residue whose value at n is prime to M is a unit, so
+the key costs one inverse of a small integer; only a residue that shares a
+factor with M needs the exact rational gcd.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from fractions import Fraction
-from math import lcm
+from math import ceil, gcd, lcm, prod
 from typing import Iterable
 
 from ..errors import (
@@ -44,7 +48,6 @@ from .polynomials import (
     qp_mul,
     qp_primitive_int,
     qp_sub,
-    qp_trim,
     root_count,
     scaled_box,
     scaled_eval,
@@ -52,7 +55,11 @@ from .polynomials import (
 )
 
 FLOOR_BITS = 64  # the first precision of a dyadic bracket for floors
-_KEY_PRIME = (1 << 61) - 1  # expansion states are keyed modulo this prime
+_KEY_BITS = 30  # the key point n starts where n^d reaches 2^_KEY_BITS
+_KEY_WINDOW = 256  # points tried for a prime M before the first acceptable one is kept
+_SMALL_PRIMES = prod((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
+                      71, 73, 79, 83, 89, 97))  # the primes below 100
+_PRIME_LIMIT = 4_759_123_141  # the strong test to bases 2, 7, 61 is exact below this
 
 
 class NumberField:
@@ -202,11 +209,11 @@ class NumberField:
             bits *= 2
 
     def _vanishes(self, coords) -> bool:
-        """Whether an integer residue is zero at theta.  A unit modulo the key
-        prime has a constant gcd with the modulus over Q too, so only a
-        non-unit there needs the exact test."""
-        ell = _KEY_PRIME
-        if _inverse_mod([c % ell for c in coords], self._modulus_mod(ell), ell) is not None:
+        """Whether an integer residue is zero at theta.  One prime to M at the
+        key point is nonzero there (see ``ratio_key``), so only the others
+        need the exact test."""
+        m, powers = self._key_powers
+        if gcd(sum(c * q for c, q in zip(coords, powers)), m) == 1:
             return False
         # Zero at theta iff theta is a common root of the residue and the
         # modulus, i.e. their gcd changes sign across the isolating bracket
@@ -216,29 +223,36 @@ class NumberField:
         lo, hi, _ = self.bracket
         return g.sign_at(lo) * g.sign_at(hi) < 0
 
-    def ratio_key(self, rows) -> tuple:
-        """A hashable key of the point (v_0 : v_1 : ... : v_m) of integer
-        residues: (v_1/v_0, ..., v_m/v_0) reduced modulo the key prime ell,
-        so equal points share a key; different points may too.
+    @cached_property
+    def _key_powers(self) -> tuple[int, tuple[int, ...]]:
+        """(M, (n^i mod M for each coordinate i)) at this field's key point."""
+        n, m, _ = _key_point(self.modulus.coeffs)
+        return m, tuple(pow(n, i, m) for i in range(self.degree))
 
-        When v_0 is no unit modulo ell, its inverse is taken over Q (a factor
-        of the modulus raises ``ReducibleModulus``) and the values are
-        reduced modulo ell, the key a unit v_0 would give.  Values with ell
-        in a denominator, which no rows with a unit v_0 have, are their own
-        key."""
-        ell = _KEY_PRIME
-        pbar = self._modulus_mod(ell)
-        inv = _inverse_mod([c % ell for c in rows[0]], pbar, ell)
-        if inv is not None:
-            products = (qp_mul([c % ell for c in v], inv) for v in rows[1:])
-            return tuple(qp_trim([c % ell for c in qp_divmod(x, pbar)[1]]) for x in products)
-        inv0 = FieldElement(self, self._unit_inverse(rows[0]))
-        values = [(self.element(v) * inv0).coords for v in rows[1:]]
-        if any(c.denominator % ell == 0 for x in values for c in x):
-            return tuple(values)
-        return tuple(
-            qp_trim([c.numerator * pow(c.denominator, -1, ell) % ell for c in x]) for x in values
-        )
+    def ratio_key(self, rows) -> tuple | None:
+        """A hashable key of the point (v_0 : v_1 : ... : v_m) of integer
+        residues, or None when v_0 has no image to divide by: the values
+        w_k = v_k(n) mod M at the key point and (w_1/w_0, ..., w_m/w_0) mod M.
+        Equal points share a key; different points may too.  A residue v_0
+        with no key is still proven a unit, or ``ReducibleModulus`` raised.
+
+        Why a w_0 prime to M proves v_0 a unit: M divides p(n), so theta -> n
+        is a ring map Z[theta] -> Z/M, and cross-multiplying a_k b_0 = b_k a_0
+        (mod p) shows equal points have equal keys wherever w_0 is a unit mod
+        M.  If v_0 were a zero divisor, some monic integer factor g of p would
+        divide v_0, so g(n) would divide both p(n) = S*M and v_0(n).  Every
+        root of g has |root| < H + 1 (Cauchy's bound), hence |g(n)| >
+        n - H - 1 > S, so g(n) does not divide S, the part of p(n) made of
+        primes below 100, and shares a prime with M, which is then a factor
+        of w_0 as well."""
+        m, powers = self._key_powers
+        w0, *ws = (sum(c * q for c, q in zip(v, powers)) for v in rows)
+        try:
+            inv = pow(w0, -1, m)
+        except ValueError:  # w_0 shares a prime with M
+            self._unit_inverse(rows[0])
+            return None
+        return tuple(w * inv % m for w in ws)
 
     def same_point(self, a, b) -> bool:
         """Whether integer rows a and b, each with a unit v_0, name the same
@@ -261,9 +275,6 @@ class NumberField:
                 factor=factor,
             )
         return tuple(c / g[0] for c in u)
-
-    def _modulus_mod(self, ell: int) -> list[int]:
-        return [c % ell for c in self.modulus.coeffs]
 
     @property
     def degree(self) -> int:
@@ -455,27 +466,52 @@ class FieldElement:
     __floor__ = floor
 
 
-def _inverse_mod(a, p, ell: int) -> list[int] | None:
-    """The inverse of a modulo the monic p over F_ell, or None when their gcd
-    is not constant: extended Euclid on (p, a), tracking a's cofactor s with
-    s * a == r (mod p) for each remainder r.  Each elimination scales by the
-    divisor's lead instead of dividing, so one field inverse fixes the scale
-    at the end."""
-    r0, r1 = p, qp_trim(a)
-    s0, s1 = (), (1,)
-    while len(r1) > 1:
-        lead, n = r1[-1], len(r1) - 1
-        while len(r0) > n:
-            c, k = r0[-1], len(r0) - 1 - n
-            r0 = [lead * x for x in r0]
-            s0 = [lead * x for x in s0] + [0] * (k + len(s1) - len(s0))
-            for j, y in enumerate(r1):
-                r0[k + j] -= c * y
-            for j, y in enumerate(s1):
-                s0[k + j] -= c * y
-            r0, s0 = qp_trim([x % ell for x in r0]), qp_trim([x % ell for x in s0])
-        r0, r1, s0, s1 = r1, r0, s1, s0
-    if not r1:
-        return None
-    c = pow(r1[0], -1, ell)
-    return [x * c % ell for x in s1]
+def _key_point(coeffs) -> tuple[int, int, bool]:
+    """(n, M, whether M is proven prime) for a monic integer polynomial p of
+    degree d: an integer n >= H + 3, H the largest |coefficient| below the
+    lead, and the divisor M of |p(n)| left when S, its part made of primes
+    below 100, is taken out, with S < n - H - 1 (``ratio_key`` needs it).
+
+    The search starts where n^d reaches 2^_KEY_BITS and takes the first such
+    n whose M is prime within _KEY_WINDOW points, else the first such n.  A
+    prime M only makes residues that share a factor with it rare; nothing
+    depends on it."""
+    d, h = len(coeffs) - 1, max(abs(c) for c in coeffs[:-1])
+    n = max(h + 3, ceil(2 ** (_KEY_BITS / d)))
+    end, first = n + _KEY_WINDOW, None
+    while True:
+        m = abs(scaled_eval(coeffs, n, 0))
+        s, g = 1, gcd(m, _SMALL_PRIMES)
+        while g > 1:
+            m, s = m // g, s * g
+            g = gcd(m, g)
+        if s < n - h - 1:
+            if _is_prime(m):
+                return n, m, True
+            first = first or (n, m, False)
+        # p(n) grows with n, so a later M seldom falls below the limit again.
+        if first and (n + 1 >= end or m >= _PRIME_LIMIT):
+            return first
+        n += 1
+        if n >= end:  # nothing acceptable in a window: move out where S fits
+            n *= 2
+            end = n + _KEY_WINDOW
+
+
+def _is_prime(m: int) -> bool:
+    """Whether m > 61 is prime by the strong test to bases 2, 7 and 61, exact
+    below _PRIME_LIMIT (Jaeschke 1993); False at and above it."""
+    if m >= _PRIME_LIMIT or not m & 1:
+        return False
+    s = ((m - 1) & (1 - m)).bit_length() - 1
+    for a in (2, 7, 61):
+        x = pow(a, (m - 1) >> s, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True

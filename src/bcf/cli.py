@@ -135,7 +135,7 @@ def run():
 
 
 def cmd_expand(args):
-    values = [parse_value_spec(t) for t in args.values]
+    values = _parse_values(args.values)
     if args.depth < 1:
         raise ParseError("--depth must be >= 1")
     exp = expand(values, args.depth)
@@ -164,6 +164,12 @@ def cmd_expand(args):
         sys.stdout.write(dumps_digit_file(doc))
         if report is not None and report.status != PROVEN:
             print(f"# period: {report.status}")
+
+
+def _parse_values(texts):
+    """The value specs of one command; specs of one alg: field share it."""
+    number_fields: dict = {}
+    return [parse_value_spec(t, number_fields) for t in texts]
 
 
 def _period_payload(report):
@@ -264,7 +270,7 @@ def cmd_kbonacci(args):
 
 
 def cmd_period(args):
-    values = [parse_value_spec(t) for t in args.values]
+    values = _parse_values(args.values)
     if args.depth < 1:
         raise ParseError("--depth must be >= 1")
     exp = expand(values, args.depth)

@@ -34,11 +34,12 @@ inputs once by their least common denominator is the only division.
 The dynamics are deterministic, so once a number-field state equals an
 earlier one the digits between them repeat forever: the loop stops there
 and copies that cycle out to the requested depth.  States are looked up by
-a key modulo a prime (``NumberField.ratio_key``), and a key hit is
-confirmed exactly.  Rational tuples terminate (their common denominator
-falls at every step), so only field states are looked up.  An exact
-expansion keeps its first rows and rebuilds its states only when they are
-read.
+their image at the field's integer key point, a tuple of integers modulo M
+(``NumberField.ratio_key``), and a key hit is confirmed exactly; the rare
+state whose v_0 has no image to divide by is compared with every other.
+Rational tuples terminate (their common denominator falls at every step),
+so only field states are looked up.  An exact expansion keeps its first
+rows and rebuilds its states only when they are read.
 """
 
 from __future__ import annotations
@@ -247,6 +248,7 @@ def expand(values: Sequence[RealValue | int], max_depth: int) -> Expansion:
         rows, field = start = _start_rows(vals)
     bits = FLOOR_BITS
     seen: dict[tuple, list[int]] = {}  # field inputs: key -> the steps holding it
+    unkeyed: list[int] = []  # field inputs: the steps whose state has no key
     held: list[tuple] = []  # field inputs: the rows of every state
     key = field.ratio_key(rows) if field is not None else None
 
@@ -255,13 +257,15 @@ def expand(values: Sequence[RealValue | int], max_depth: int) -> Expansion:
     recurrence: tuple[int, int] | None = None
     for i in range(max_depth):
         if field is not None:
-            # Equal states share a key; a key hit is confirmed exactly.
-            hits = seen.setdefault(key, [])
+            # Equal states share a key unless one has none; a hit is confirmed
+            # exactly.  At most one earlier state can match, so the order in
+            # which they are tried does not matter.
+            hits = range(i) if key is None else [*seen.get(key, ()), *unkeyed]
             j = next((j for j in hits if field.same_point(held[j], rows)), None)
             if j is not None:
                 recurrence = (j, i)
                 break
-            hits.append(i)
+            (unkeyed if key is None else seen.setdefault(key, [])).append(i)
             held.append(rows)
         if guarded:
             digits, rows = _forms_step(rows, i)

@@ -64,7 +64,10 @@ def format_fraction(x: Fraction) -> str:
 # -- value specs ---------------------------------------------------------------
 
 
-def parse_value_spec(text: str) -> RealValue:
+def parse_value_spec(text: str, number_fields: dict | None = None) -> RealValue:
+    """The value a spec names.  ``number_fields`` holds the fields of earlier
+    ``alg:`` specs by (poly, lo, hi), so the specs of one command share one
+    field (and its bracket) instead of building one each."""
     kind, sep, body = text.partition(":")
     if not sep:
         raise ParseError(f"value spec needs a kind prefix (rat:, dec:, alg:): {text!r}")
@@ -74,7 +77,7 @@ def parse_value_spec(text: str) -> RealValue:
     if kind == "dec":
         return _parse_dec(body)
     if kind == "alg":
-        return _parse_alg(body)
+        return _parse_alg(body, {} if number_fields is None else number_fields)
     raise ParseError(f"unknown value kind {kind!r} in {text!r}")
 
 
@@ -96,7 +99,7 @@ def _parse_dec(body: str) -> GuardedDecimal:
         raise ParseError(str(exc)) from None
 
 
-def _parse_alg(body: str) -> FieldElement:
+def _parse_alg(body: str, number_fields: dict) -> FieldElement:
     fields: dict[str, str] = {}
     for part in body.split(";"):
         key, sep, val = part.partition("=")
@@ -115,7 +118,10 @@ def _parse_alg(body: str) -> FieldElement:
     coords = [parse_rational(c) for c in fields["elem"].split(",")]
     lo = parse_rational(fields["lo"])
     hi = parse_rational(fields["hi"])
-    field_obj = NumberField(IntPolynomial.from_coeffs(coeffs), lo, hi)
+    key = (tuple(coeffs), lo, hi)
+    if key not in number_fields:
+        number_fields[key] = NumberField(IntPolynomial.from_coeffs(coeffs), lo, hi)
+    field_obj = number_fields[key]
     if len(coords) > field_obj.degree:
         raise ParseError(
             f"elem takes at most {field_obj.degree} coordinates for a degree-"

@@ -350,6 +350,29 @@ def test_one_root_named_by_two_intervals_is_one_field(capsys):
     assert "share one backend" in err
 
 
+@pytest.mark.parametrize("command", ["expand", "period"])
+def test_specs_of_one_field_build_it_once(capsys, monkeypatch, command):
+    # The three quartic specs name one field, the last spec another
+    # interval of the same root: two fields, whatever the order of specs.
+    import bcf.formats
+
+    built = []
+
+    class Counted(bcf.formats.NumberField):
+        def __init__(self, *args):
+            built.append(args[1:])
+            super().__init__(*args)
+
+    argv = [command, *QUARTIC, "--depth", "12"]
+    expected = run_cli(capsys, argv)
+    monkeypatch.setattr(bcf.formats, "NumberField", Counted)
+    assert run_cli(capsys, argv) == expected
+    assert len(built) == 1
+    other = QUARTIC[0].replace("lo=1", "lo=0")
+    run_cli(capsys, [command, QUARTIC[0], other, QUARTIC[0], other, "--depth", "5"])
+    assert built[1:] == [(1, 2), (0, 2)]
+
+
 def test_exit_4_on_non_monic_modulus(capsys):
     code, _, err = run_cli(capsys, ["expand", "alg:poly=-2,0,2;elem=0,1;lo=1;hi=2"])
     assert code == 4

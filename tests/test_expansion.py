@@ -88,8 +88,9 @@ def test_fixed_point_stops_after_one_step(monkeypatch):
 
 
 def test_irreducible_field_rows_need_no_exact_inverse(monkeypatch):
-    # Floors come from dyadic enclosures and recurrence keys from inverses
-    # modulo a prime, so a field tuple expands without one rational gcd.
+    # Floors come from dyadic enclosures and recurrence keys from integer
+    # inverses modulo M at the field's key point, where a value prime to M
+    # certifies a unit, so a field tuple expands without one rational gcd.
     th = CBRT2.theta()
     pair = [th, th * th]
     calls = Counter()

@@ -1,11 +1,12 @@
 import functools
-import itertools
 import math
 import random
+import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bcf.arith import IntPolynomial, NumberField, numberfield
@@ -295,24 +296,62 @@ def test_decisions_do_not_depend_on_the_bracket_they_start_from(modulus, rows):
         assert n <= max(b, d) and min(a, c) < n + 1
 
 
-@settings(max_examples=200, deadline=None)
+def monic(low):
+    return st.lists(st.integers(-low, low), min_size=1, max_size=4).map(lambda c: (*c, 1))
+
+
+def at(coeffs, n):
+    return sum(c * n**k for k, c in enumerate(coeffs))
+
+
+@settings(max_examples=300, deadline=None)
 @given(
-    st.sampled_from([(1, 0, 0, 1), (3, 0, 1), (2, 1, 1, 1), (4, 0, 0, 0, 1), (1, 1)]),
-    st.lists(st.integers(-12, 12), min_size=1, max_size=4),
+    st.one_of(monic(40).map(lambda p: (p, None)), st.tuples(monic(9), monic(9))),
+    st.lists(st.integers(-50, 50), max_size=4),
+    st.sampled_from([1, 12, 30]),
 )
-def test_inverse_mod_a_small_prime_matches_brute_force(p, a):
-    # Over F_5, a is a unit modulo the monic p exactly when some residue b
-    # has a*b == 1; the inverse found must be one.
-    ell, d = 5, len(p) - 1
-    a = [c % ell for c in a[:d]]
+def test_key_point_certifies_units(moduli, cofactor, key_bits):
+    # Moduli are irreducible ones, or products p = g*h of two monic factors.
+    # For the point (n, M): M divides p(n), n >= H + 3 and S = |p(n)| / M, a
+    # product of primes below 100, is < n - H - 1; so a multiple of g, a
+    # zero divisor mod p, shares a prime with M at n and gets no key.
+    sympy = pytest.importorskip("sympy")
+    g, h = moduli
+    p = g if h is None else qp_mul(g, h)
+    if h is None:
+        assume(len(p) > 2 and sympy.Poly(p[::-1], sympy.Symbol("x")).is_irreducible)
+    with mock.patch.object(numberfield, "_KEY_BITS", key_bits):
+        n, m, prime = numberfield._key_point(p)
+    top = max(abs(c) for c in p[:-1])
+    s, rest = divmod(abs(at(p, n)), m)
+    assert rest == 0 and n >= top + 3 and s < n - top - 1
+    assert math.gcd(m, math.prod(sympy.primerange(100))) == 1
+    assert max(sympy.factorint(s), default=2) < 100
+    if prime:
+        assert sympy.isprime(m)
+    if h is not None:
+        multiple = qp_divmod(qp_mul(g, cofactor or [0]), p)[1]
+        assert math.gcd(at(multiple, n), m) > 1
 
-    def times(x, y):
-        return tuple(c % ell for c in qp_divmod(qp_mul(x, y), p)[1]) + (0,) * d
 
-    one = (1,) + (0,) * (2 * d)
-    units = [b for b in itertools.product(range(ell), repeat=d) if times(a, b)[:d] == one[:d]]
-    inv = numberfield._inverse_mod(a, p, ell)
-    if not units:
-        assert inv is None
-    else:
-        assert inv is not None and times(a, inv)[:d] == one[:d]
+def test_zero_divisors_share_a_prime_with_the_key_modulus():
+    # (x - 3)(x^2 - 2) on (1, 2), theta = sqrt 2: x^2 - 2 vanishes at theta
+    # and x - 3 does not, but both are zero divisors, so the screen prime to
+    # M passes neither to the answer; x + 1 is a unit and is keyed.
+    field = NumberField(IntPolynomial((6, -2, -3, 1)), 1, 2)
+    assert field._vanishes([-2, 0, 1])
+    assert not field._vanishes([-3, 1, 0]) and not field._vanishes([1, 1, 0])
+    for zero_divisor, factor in (((-2, 0, 1), "x^2 - 2"), ((-3, 1, 0), "x - 3")):
+        with pytest.raises(ReducibleModulus, match=f"has factor {re.escape(factor)}$"):
+            field.ratio_key((zero_divisor, (1, 0, 0)))
+    assert field.ratio_key(((1, 1, 0), (0, 1, 0))) is not None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(101, numberfield._PRIME_LIMIT + 10**6))
+@example(2**29 - 1)  # 233 * 1103 * 2089, which the Fermat test to base 2 passes
+@example(3215031751)  # a strong pseudoprime to the bases 2, 3, 5 and 7
+@example(numberfield._PRIME_LIMIT)  # a strong pseudoprime to the bases 2, 7 and 61
+def test_strong_test_is_exact_below_its_limit(m):
+    sympy = pytest.importorskip("sympy")
+    assert numberfield._is_prime(m) == (m < numberfield._PRIME_LIMIT and sympy.isprime(m))

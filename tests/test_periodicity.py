@@ -12,6 +12,7 @@ from bcf.arith import FieldElement, GuardedDecimal, IntPolynomial, NumberField, 
 from bcf.closedform import allones_poly, alpha_cubic
 from bcf.errors import BcfError, NegativeInput
 from bcf.expansion import ExpansionState, expand, expand_step
+from bcf.expansion import _row_step as row_step
 from bcf.periodicity import (
     APPARENT,
     NONE_WITHIN_DEPTH,
@@ -285,7 +286,17 @@ oracle_inputs = st.one_of(
 )
 
 
-@pytest.mark.parametrize("prime", [None, 5])
+def in_fresh_field(values):
+    """The same values in a new field of the same modulus and root, which
+    chooses its key point anew (a field keeps the first one it chose)."""
+    if not isinstance(values[0], FieldElement):
+        return values
+    field = values[0].field
+    fresh = NumberField(field.modulus, *field.root_interval)
+    return [fresh.element(x.coords) for x in values]
+
+
+@pytest.mark.parametrize("key_bits", [None, 1])
 @settings(max_examples=120, deadline=None)
 @given(oracle_inputs, st.integers(1, 30))
 @example([SPLIT.theta() ** 2], 5)  # floor 2 exactly, then the factor x^2 - 2
@@ -293,8 +304,73 @@ oracle_inputs = st.one_of(
 @example([-NEG_SQRT2.theta()], 12)  # sqrt 2 on a negative theta
 @example([NEG_GOLDEN.theta() + 1], 12)
 @example(quartic_triple(2), 20)
-def test_expand_matches_the_operator_oracle(prime, values, depth):
-    # Prime 5 makes key collisions, exact confirmations and non-unit v_0
-    # (the exact-key fallback) common.
-    with mock.patch.object(numberfield, "_KEY_PRIME", prime or numberfield._KEY_PRIME):
+def test_expand_matches_the_operator_oracle(key_bits, values, depth):
+    # One key bit starts the key point at H + 3, where M is as small as the
+    # search allows (11 for x^2 - x - 1, 23 for x^2 - 2), so key collisions,
+    # exact confirmations and states without a key are common.
+    values = in_fresh_field(values)
+    with mock.patch.object(numberfield, "_KEY_BITS", key_bits or numberfield._KEY_BITS):
         assert outcome(row_outcome, values, depth) == outcome(operator_expansion, values, depth)
+
+
+@pytest.mark.parametrize(
+    "modulus, coords, depth",
+    [
+        ((-3, 0, 1), [(0, 1)], 12),  # sqrt 3: witness (1, 3)
+        ((-2, 0, 0, 0, 1), [(0, 1), (0, 0, 1), (0, 0, 0, 1)], 20),  # witness (1, 4)
+        ((-1, -1, -1, 1), [(0, 1), (1, 1, 1)], 20),  # witness (5, 14)
+        ((-7, 0, 0, 1), [(0, 1), (0, 0, 1)], 60),  # witness (1, 16)
+    ],
+)
+def test_a_cycle_whose_first_state_has_no_key(modulus, coords, depth):
+    # Move the key point to a small prime M dividing w_0 of the first state
+    # of the cycle, so that state has no key: the state that closes the
+    # cycle must still find it, and the witness stays the oracle's.
+    def at(v, n):
+        return sum(c * n**k for k, c in enumerate(v))
+
+    probe = NumberField(IntPolynomial(modulus), 1, 2)
+    e = expand([probe.element(c) for c in coords], depth)
+    rows = e.start[0]
+    for digits in islice(zip(*e.digits), e.recurrence[0]):
+        rows = row_step(rows, digits)
+    q, n = next(
+        (q, n)
+        for q in range(2, 100)
+        if all(q % r for r in range(2, q))
+        for n in range(q)
+        if at(modulus, n) % q == 0 and at(rows[0], n) % q == 0
+    )
+    field = NumberField(IntPolynomial(modulus), 1, 2)
+    values = [field.element(c) for c in coords]
+    with mock.patch.object(numberfield, "_key_point", lambda coeffs: (n, q, True)):
+        assert field.ratio_key(rows) is None
+        got = row_outcome(values, depth)
+    assert got == operator_expansion(values, depth)
+    assert got[2] == e.recurrence
+
+
+@pytest.mark.parametrize("dropped", [0, 1])
+@pytest.mark.parametrize(
+    "modulus, coords, depth",
+    [
+        ((-2, 0, 0, 0, 1), [(0, 1), (0, 0, 1), (0, 0, 0, 1)], 20),  # witness (1, 4)
+        ((-1, -1, -1, 1), [(0, 1), (1, 1, 1)], 20),  # witness (5, 14)
+    ],
+)
+def test_a_state_without_a_key_is_compared_with_every_other(modulus, coords, depth, dropped):
+    # Take the key of one end of the cycle away and keep the other's: a
+    # keyless state closing the cycle must look at every held state, and a
+    # keyed one at the keyless states too.
+    values = [NumberField(IntPolynomial(modulus), 1, 2).element(c) for c in coords]
+    witness = expand(values, depth).recurrence
+    keyed = NumberField.ratio_key
+    calls = []
+
+    def ratio_key(field, rows):  # called once for each state, in order
+        calls.append(rows)
+        return None if len(calls) - 1 == witness[dropped] else keyed(field, rows)
+
+    with mock.patch.object(NumberField, "ratio_key", ratio_key):
+        assert expand(values, depth).recurrence == witness
+    assert len(calls) == witness[1] + 1

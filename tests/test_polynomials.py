@@ -186,6 +186,9 @@ def test_bisection_evaluates_only_the_midpoint(monkeypatch):
     lo, hi, s_lo = theta.field.bracket
     bisect_once(theta.field.modulus, lo, hi, s_lo)
     assert calls == {"qp_eval": 1}
+    # The recurrence keys' integer point, chosen once per field, evaluates
+    # the modulus at integers; only the root's refinement is counted below.
+    theta.field.ratio_key(((1, 0, 0), (0, 1, 0)))
     calls.clear()
     first = expand([theta], 60)
     # The floors read a dyadic bracket of theta that Newton steps refine to
