@@ -14,7 +14,8 @@ stores the cell back as the bracket, so later decisions start where
 earlier ones stopped instead of at the user's interval.  Integer residues
 are enclosed on that cell by interval Horner: every floor (``ratio_floors``,
 the expansion's and the elements') and every element enclosure
-(``interval``) is decided there.
+(``interval``) is decided there.  Floors start at the precision the field's
+last floors needed, so no caller chooses or carries one.
 
 A floor whose enclosure straddles one integer is settled by a gcd test,
 because the value may be that integer.  Expansion states are keyed by their
@@ -56,7 +57,7 @@ from .polynomials import (
 
 FLOOR_BITS = 64  # the first precision of a dyadic bracket for floors
 _KEY_BITS = 30  # the key point n starts where n^d reaches 2^_KEY_BITS
-_KEY_WINDOW = 256  # points tried for a prime M before the first acceptable one is kept
+_KEY_WINDOW = 64  # points tried for a prime M before the first acceptable one is kept
 _SMALL_PRIMES = prod((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
                       71, 73, 79, 83, 89, 97))  # the primes below 100
 _PRIME_LIMIT = 4_759_123_141  # the strong test to bases 2, 7, 61 is exact below this
@@ -98,6 +99,7 @@ class NumberField:
         self._qmodulus = chain[0]  # the modulus as rationals, for residues
         self._dmodulus = tuple(k * c for k, c in enumerate(modulus.coeffs))[1:]
         self._cell = (None, 0, 0)  # (bracket, bits, t): the last answer of dyadic
+        self._floor_bits = FLOOR_BITS  # the precision the last floors needed
 
     def dyadic(self, bits: int) -> int:
         """An integer t with theta in [t, t + 1] / 2^bits.
@@ -182,15 +184,16 @@ class NumberField:
         self.bracket = (max(lo, cell[0]), min(hi, cell[1]), s_lo)
         return t
 
-    def ratio_floors(self, den, nums, bits: int) -> tuple[tuple[int, ...], int]:
-        """(the floor of num(theta) / den(theta) for each num, the precision
-        used): integer coordinate vectors, den(theta) > 0.
+    def ratio_floors(self, den, nums) -> tuple[int, ...]:
+        """The floor of num(theta) / den(theta) for each num: integer
+        coordinate vectors, den(theta) > 0.
 
-        Each vector is enclosed on the dyadic cell of theta at ``bits``
-        precision, which doubles until every floor is certain.  A ratio that
-        straddles one integer c is c exactly when num - c*den vanishes at
-        theta."""
+        Each vector is enclosed on the dyadic cell of theta at the precision
+        the field's last floors needed, which doubles until every floor is
+        certain and is kept for the next call.  A ratio that straddles one
+        integer c is c exactly when num - c*den vanishes at theta."""
         while True:
+            bits = self._floor_bits
             t = self.dyadic(bits)
             lo0, hi0 = scaled_box(den, t, bits)
             floors: list[int] = []
@@ -205,8 +208,8 @@ class NumberField:
                         break
                     floors.append(b)
                 else:
-                    return tuple(floors), bits
-            bits *= 2
+                    return tuple(floors)
+            self._floor_bits = bits * 2
 
     def _vanishes(self, coords) -> bool:
         """Whether an integer residue is zero at theta.  One prime to M at the
@@ -431,11 +434,6 @@ class FieldElement:
 
     # -- order decisions -----------------------------------------------------
 
-    def _scaled(self) -> tuple[list[int], int]:
-        """(num, d): integer coordinates num with num / d the residue."""
-        d = lcm(*(c.denominator for c in self.coords))
-        return [c.numerator * (d // c.denominator) for c in self.coords], d
-
     def interval(self, width) -> tuple[Fraction, Fraction]:
         """Exact rational bounds on the value, at most ``width`` apart.
 
@@ -447,7 +445,7 @@ class FieldElement:
         width = Fraction(width)
         if width <= 0:
             raise ValueError("width must be positive")
-        num, d = self._scaled()
+        (d, *_), num = integer_rows([self.coords])
         bits = FLOOR_BITS
         while True:
             lo, hi = scaled_box(num, self.field.dyadic(bits), bits)
@@ -459,11 +457,19 @@ class FieldElement:
     def floor(self) -> int:
         """Greatest integer <= value: ``ratio_floors`` of the residue scaled
         to integers over that scale."""
-        num, d = self._scaled()
-        den = [d] + [0] * (len(num) - 1)
-        return self.field.ratio_floors(den, [num], FLOOR_BITS)[0][0]
+        den, num = integer_rows([self.coords])
+        return self.field.ratio_floors(den, [num])[0]
 
     __floor__ = floor
+
+
+def integer_rows(vectors) -> tuple[tuple[int, ...], ...]:
+    """D*(e_0, v_1, ..., v_m) as integer tuples, for rational vectors v_k of
+    one length, e_0 = (1, 0, ..., 0) and D the least common denominator of
+    their entries: the rows of the point (1 : v_1 : ... : v_m)."""
+    d = lcm(*(c.denominator for v in vectors for c in v))
+    one = (d,) + (0,) * (len(vectors[0]) - 1)
+    return (one, *(tuple(c.numerator * (d // c.denominator) for c in v) for v in vectors))
 
 
 def _key_point(coeffs) -> tuple[int, int, bool]:

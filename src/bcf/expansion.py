@@ -14,13 +14,15 @@ Every backend steps m+1 integer rows instead of values.  The state is the
 point (v_0 : v_1 : ... : v_m), v = D * (1, x_1, ..., x_m), and a step is the
 homogeneous Jacobi-Perron step: a_k = floor(v_k / v_0), then
 (v_0, ..., v_m) <- (v_m - a_m v_0, v_0, v_1 - a_1 v_0, ..., v_(m-1) - a_(m-1) v_0).
-The backends differ in what a row is and how its floor is certified:
+``_start``, the only code that reads value types, turns a tuple into rows
+and hands ``expand`` and ``expand_step`` one step, whose backends differ
+only in what a row is and how its floor is certified:
 
 - a rational row is one integer, D the common denominator; its floor is
   integer division, and order 1 is Euclid's algorithm;
 - a number-field row is a vector of integer power-basis coordinates; the
-  field encloses its value on a dyadic bracket of theta
-  (``NumberField.ratio_floors``);
+  field encloses its value on a dyadic bracket of theta, at a precision it
+  keeps between calls (``NumberField.ratio_floors``);
 - a guarded-decimal tuple is a box of inputs, and a row is an integer linear
   form over the box's unit cube.  Each digit condition a <= v_k/v_0 < a + 1
   is a pair of linear inequalities, so the inputs sharing a prefix are
@@ -32,8 +34,8 @@ The step is unimodular, so rows of content 1 keep content 1: scaling the
 inputs once by their least common denominator is the only division.
 
 The dynamics are deterministic, so once a number-field state equals an
-earlier one the digits between them repeat forever: the loop stops there
-and copies that cycle out to the requested depth.  States are looked up by
+earlier one the digits between them repeat forever: ``expand`` stops there
+and copies that cycle out to the requested depth.  It looks rows up by
 their image at the field's integer key point, a tuple of integers modulo M
 (``NumberField.ratio_key``), and a key hit is confirmed exactly; the rare
 state whose v_0 has no image to divide by is compared with every other.
@@ -48,18 +50,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import cycle, islice
-from math import lcm
 from typing import Sequence
 
 from .arith import FieldElement, GuardedDecimal, NumberField, RealValue
-from .arith.numberfield import FLOOR_BITS
+from .arith.numberfield import integer_rows
 from .errors import AmbiguousFloor, MixedFields, NegativeInput
 
 
 @dataclass(frozen=True)
 class ExpansionState:
-    """The value tuple entering step ``step``; equality of ``values`` across
-    steps proves a period.
+    """The value tuple entering step ``step``, as ``expand_step`` takes and
+    returns it.  ``expand`` finds recurrences by row keys, not values.
 
     For guarded inputs ``values`` stays the input box and ``forms`` holds
     its integer forms D*v after ``step`` steps (None at step 0: ``_box_forms``).
@@ -119,17 +120,10 @@ class Expansion:
 def expand_step(state: ExpansionState) -> tuple[tuple[int, ...], ExpansionState | None]:
     """One expansion step: the digit tuple and the next state (None on
     exact termination).  An exact state goes in as rows and comes out as
-    values, which costs one inverse."""
-    if isinstance(state.values[0], GuardedDecimal):
-        digits, forms = _forms_step(state.forms or _box_forms(state.values), state.step)
-        return digits, ExpansionState(state.values, state.step + 1, forms)
-    rows, field = _start_rows(state.values)
-    digits, _ = _floors(rows, field, FLOOR_BITS)
-    _check_nonnegative(digits, state.step)
-    rows = _row_step(rows, digits)
-    if not any(rows[0]):
-        return digits, None
-    return digits, ExpansionState(_values(rows, field), state.step + 1)
+    values, which costs one inverse; a box carries its forms along."""
+    rows, _, step, state_of = _start(state.values, state.forms)
+    digits, rows = step(rows, state.step)
+    return digits, state_of(rows, state.step + 1) if any(rows[0]) else None
 
 
 def _row_step(rows, digits):
@@ -137,26 +131,6 @@ def _row_step(rows, digits):
     v0 = rows[0]
     rests = [tuple(c - a * c0 for c, c0 in zip(v, v0)) for v, a in zip(rows[1:], digits)]
     return (rests[-1], v0, *rests[:-1])
-
-
-def _start_rows(values) -> tuple[tuple, NumberField | None]:
-    """(rows, field): D * (1, x_1, ..., x_m) as integer rows, D the least
-    common denominator, of rationals (1-tuples; field None) or of field
-    elements (power-basis coordinates)."""
-    if isinstance(values[0], FieldElement):
-        field, coords = values[0].field, [x.coords for x in values]
-    else:
-        field, coords = None, [(x,) for x in values]
-    d = lcm(*(c.denominator for row in coords for c in row))
-    one = (d,) + (0,) * (len(coords[0]) - 1)
-    return (one, *(tuple(c.numerator * (d // c.denominator) for c in row) for row in coords)), field
-
-
-def _floors(rows, field: NumberField | None, bits: int) -> tuple[tuple[int, ...], int]:
-    """(floor(v_k / v_0) for k = 1..m, the precision used) of exact rows."""
-    if field is None:
-        return tuple(v[0] // rows[0][0] for v in rows[1:]), bits
-    return field.ratio_floors(rows[0], rows[1:], bits)
 
 
 def _values(rows, field: NumberField | None) -> tuple:
@@ -172,7 +146,7 @@ def _forms_step(forms, step: int):
     """Step the integer forms of a guarded box; refuse unless the whole box
     floors alike and no point of it terminates."""
     v0, *vs = forms
-    digits = tuple(v[0] // v0[0] for v in vs)  # the floors at the all-low corner
+    digits = _rational_floors(v0, vs)  # the floors at the all-low corner
     nxt = _row_step(forms, digits)
     for v, rest in zip(vs, (*nxt[2:], nxt[0])):
         if _least(rest) < 0 or _least([c0 - c for c, c0 in zip(rest, v0)]) <= 0:
@@ -192,10 +166,9 @@ def _box_forms(box) -> tuple[tuple[int, ...], ...]:
     """D*(1, x_1, ..., x_m) in the coordinates (1, t_1, ..., t_m) of the unit
     cube, x_j = lo_j + t_j*(hi_j - lo_j), D the lcm of the bound denominators."""
     bounds = [g.bounds() for g in box]
-    d = lcm(*(b.denominator for pair in bounds for b in pair))
-    return ((d,) + (0,) * len(box),) + tuple(
-        (int(lo * d),) + tuple(int((hi - lo) * d) * (j == k) for j in range(len(box)))
-        for k, (lo, hi) in enumerate(bounds)
+    return integer_rows(
+        [(lo,) + tuple((hi - lo) * (j == k) for j in range(len(box)))
+         for k, (lo, hi) in enumerate(bounds)]
     )
 
 
@@ -232,21 +205,8 @@ def expand(values: Sequence[RealValue | int], max_depth: int) -> Expansion:
     the rest."""
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
-    vals = tuple(Fraction(v) if isinstance(v, int) else v for v in values)
-    if not vals:
-        raise ValueError("at least one value required")
-    keys = {_backend_key(v) for v in vals}
-    if len(keys) > 1:
-        raise MixedFields(
-            "all expansion inputs must share one backend (and one field); got "
-            + ", ".join(sorted(str(k) for k in keys))
-        )
-    guarded = isinstance(vals[0], GuardedDecimal)
-    if guarded:
-        rows, field, start = _box_forms(vals), None, None
-    else:
-        rows, field = start = _start_rows(vals)
-    bits = FLOOR_BITS
+    rows, field, step, _ = _start(values)
+    start = None if step is _forms_step else (rows, field)  # a box has no exact states
     seen: dict[tuple, list[int]] = {}  # field inputs: key -> the steps holding it
     unkeyed: list[int] = []  # field inputs: the steps whose state has no key
     held: list[tuple] = []  # field inputs: the rows of every state
@@ -267,15 +227,10 @@ def expand(values: Sequence[RealValue | int], max_depth: int) -> Expansion:
                 break
             (unkeyed if key is None else seen.setdefault(key, [])).append(i)
             held.append(rows)
-        if guarded:
-            digits, rows = _forms_step(rows, i)
-        else:
-            digits, bits = _floors(rows, field, bits)
-            _check_nonnegative(digits, i)
-            rows = _row_step(rows, digits)
-            if field is not None and any(rows[0]):
-                # Proves the new v_0 a unit, or raises ReducibleModulus.
-                key = field.ratio_key(rows)
+        digits, rows = step(rows, i)
+        if field is not None and any(rows[0]):
+            # Proves the new v_0 a unit, or raises ReducibleModulus.
+            key = field.ratio_key(rows)
         out.append(digits)
         if i >= 1 and digits[0] < 1:
             raise AssertionError(
@@ -288,15 +243,54 @@ def expand(values: Sequence[RealValue | int], max_depth: int) -> Expansion:
 
     if recurrence is not None:
         out += islice(cycle(out[recurrence[0] :]), max_depth - len(out))
-    return Expansion(len(vals), tuple(zip(*out)), terminated_at, recurrence, start)
+    return Expansion(len(rows) - 1, tuple(zip(*out)), terminated_at, recurrence, start)
 
 
-def _backend_key(x: RealValue):
-    """Hashable token identifying the backend (and field) of a value."""
-    if isinstance(x, Fraction):
-        return "rational"
-    if isinstance(x, FieldElement):
-        return ("field", x.field)
-    if isinstance(x, GuardedDecimal):
-        return "guarded"
-    raise TypeError(f"not a real value: {x!r}")
+def _start(values, forms=None):
+    """(rows, field, step, state_of) of a value tuple; the only code that
+    reads value types.  Ints count as rationals; an empty tuple, a non-value
+    or mixed backends or fields are refused.  ``rows`` are the integer rows
+    (a box's ``forms`` once its state carries them), ``field`` is None but
+    for field elements, ``step(rows, i)`` gives (digits, next rows) and
+    ``state_of(rows, i)`` the ExpansionState of later rows."""
+    vals = tuple(Fraction(v) if isinstance(v, int) else v for v in values)
+    if not vals:
+        raise ValueError("at least one value required")
+
+    def backend(x):
+        if isinstance(x, Fraction):
+            return "rational"
+        if isinstance(x, FieldElement):
+            return ("field", x.field)
+        if isinstance(x, GuardedDecimal):
+            return "guarded"
+        raise TypeError(f"not a real value: {x!r}")
+
+    kinds = {backend(x) for x in vals}
+    if len(kinds) > 1:
+        raise MixedFields(
+            "all expansion inputs must share one backend (and one field); got "
+            + ", ".join(sorted(str(k) for k in kinds))
+        )
+    (kind,) = kinds
+    if kind == "guarded":
+        rows = forms or _box_forms(vals)
+        return rows, None, _forms_step, lambda rows, i: ExpansionState(vals, i, rows)
+    if kind == "rational":
+        field, floors, coords = None, _rational_floors, [(x,) for x in vals]
+    else:
+        field = kind[1]
+        floors, coords = field.ratio_floors, [x.coords for x in vals]
+
+    def step(rows, i):
+        digits = floors(rows[0], rows[1:])
+        _check_nonnegative(digits, i)
+        return digits, _row_step(rows, digits)
+
+    rows = integer_rows(coords)
+    return rows, field, step, lambda rows, i: ExpansionState(_values(rows, field), i)
+
+
+def _rational_floors(den, nums) -> tuple[int, ...]:
+    """floor(v_k / v_0) of rational rows, each one integer."""
+    return tuple(v[0] // den[0] for v in nums)

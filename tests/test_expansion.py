@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from bcf.arith import GuardedDecimal, IntPolynomial, NumberField, numberfield
 from bcf.closedform import allones_poly
+from bcf import expansion
 from bcf.errors import AmbiguousFloor, MixedFields, NegativeInput
 from bcf.expansion import ExpansionState, expand, expand_step
 from bcf.expansion import _row_step as row_step
@@ -168,10 +169,32 @@ def test_digit_bounds_on_exact_backends():
 
 
 def test_mixed_backends_rejected():
-    with pytest.raises(MixedFields):
-        expand([Fraction(3, 2), GuardedDecimal.from_literal("1.5")], 3)
-    with pytest.raises(MixedFields):
-        expand([TRIB.theta(), MOORE.theta()], 3)
+    # expand_step checks its tuple as expand does: the same error, worded alike.
+    sqrt2 = NumberField(IntPolynomial((-2, 0, 1)), 1, 2).theta()
+    dec = GuardedDecimal.from_literal("1.5")
+    cases = [
+        (MixedFields, (Fraction(3, 2), dec)),
+        (MixedFields, (1, dec)),  # an int counts as a rational
+        (MixedFields, (TRIB.theta(), MOORE.theta())),
+        (MixedFields, (TRIB.theta(), sqrt2)),
+        (MixedFields, (TRIB.theta(), Fraction(1, 2))),
+        (TypeError, (1.5,)),
+        (TypeError, (Fraction(1, 2), 1.5)),
+        (ValueError, ()),
+    ]
+    for error, values in cases:
+        with pytest.raises(error) as by_expand:
+            expand(values, 3)
+        with pytest.raises(error) as by_step:
+            expand_step(ExpansionState(values, 0))
+        assert str(by_step.value) == str(by_expand.value)
+    with pytest.raises(ValueError):
+        expand([Fraction(1, 2)], 0)
+    assert expand([3, Fraction(5, 2)], 4) == expand([Fraction(3), Fraction(5, 2)], 4)
+    assert expand_step(ExpansionState((3, Fraction(5, 2)), 0)) == (
+        (3, 2),
+        ExpansionState((Fraction(2), Fraction(0)), 1),
+    )
 
 
 def test_negative_input_rejected():
@@ -327,6 +350,23 @@ def test_guarded_high_orders_certify_all_ones_then_refuse(m, tuples):
     rows = certify(box)
     assert time.perf_counter() - start < 1
     assert rows == [(1,) * m] * tuples
+
+
+def test_a_box_builds_its_forms_once(monkeypatch):
+    # A box's state carries its forms, so stepping it does not rebuild them.
+    built = []
+
+    def counted(box):
+        built.append(box)
+        return box_forms(box)
+
+    box_forms = expansion._box_forms
+    monkeypatch.setattr(expansion, "_box_forms", counted)
+    state = ExpansionState(allones_box(3), 0)
+    for _ in range(30):
+        digits, state = expand_step(state)
+        assert digits == (1, 1, 1)
+    assert len(built) == 1
 
 
 @settings(max_examples=150, deadline=None)

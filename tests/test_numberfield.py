@@ -334,6 +334,40 @@ def test_key_point_certifies_units(moduli, cofactor, key_bits):
         assert math.gcd(at(multiple, n), m) > 1
 
 
+@pytest.mark.parametrize("coeffs", [(6, -2, -3, 1), (-1, 0, 1), (-4, 0, 1)])
+def test_key_point_search_stops_at_its_window(coeffs):
+    # A reducible modulus never gives a prime M (g(n) and h(n) both divide
+    # p(n)), so the search runs to the end of its window and keeps the first
+    # acceptable point: (x - 3)(x^2 - 2), x^2 - 1, x^2 - 4.
+    points, scaled_eval = [], numberfield.scaled_eval
+
+    def counted(c, x, bits):
+        points.append(x)
+        return scaled_eval(c, x, bits)
+
+    with mock.patch.object(numberfield, "scaled_eval", counted):
+        assert numberfield._key_point(coeffs)[2] is False
+    assert len(points) <= numberfield._KEY_WINDOW
+
+
+def test_floors_start_at_the_precision_the_last_floors_needed():
+    field = NumberField(IntPolynomial((-2, 0, 0, 1)), 1, 2)
+    first = expand([field.theta()], 150)
+    needed = field._floor_bits
+    assert needed > numberfield.FLOOR_BITS
+    asked = []
+    dyadic = NumberField.dyadic
+
+    def recorded(self, bits):
+        asked.append(bits)
+        return dyadic(self, bits)
+
+    with mock.patch.object(NumberField, "dyadic", recorded):
+        assert expand([field.theta()], 150) == first
+        assert math.floor(field.theta() * 10**30) == 1259921049894873164767210607278
+    assert set(asked) == {needed}
+
+
 def test_zero_divisors_share_a_prime_with_the_key_modulus():
     # (x - 3)(x^2 - 2) on (1, 2), theta = sqrt 2: x^2 - 2 vanishes at theta
     # and x - 3 does not, but both are zero divisors, so the screen prime to
