@@ -32,11 +32,21 @@ class AmbiguousFloor(PrecisionError):
 
     ``extra_digits_hint`` estimates how many more trusted digits would
     resolve the floor; ``None`` when the value may be exactly integral.
+    ``step`` and ``component`` (1-based) say where an expansion refused;
+    ``None`` when the refusal came from outside one.
     """
 
-    def __init__(self, message: str, extra_digits_hint: "int | None" = None):
+    def __init__(
+        self,
+        message: str,
+        extra_digits_hint: "int | None" = None,
+        step: "int | None" = None,
+        component: "int | None" = None,
+    ):
         super().__init__(message)
         self.extra_digits_hint = extra_digits_hint
+        self.step = step
+        self.component = component
 
 
 class PrecisionTooLow(PrecisionError):

@@ -15,11 +15,16 @@ point (v_0 : v_1 : ... : v_m), v = D * (1, x_1, ..., x_m), and a step is the
 homogeneous Jacobi-Perron step: a_k = floor(v_k / v_0), then
 (v_0, ..., v_m) <- (v_m - a_m v_0, v_0, v_1 - a_1 v_0, ..., v_(m-1) - a_(m-1) v_0).
 ``_start``, the only code that reads value types, turns a tuple into rows
-and hands ``expand`` and ``expand_step`` one step, whose backends differ
-only in what a row is and how its floor is certified:
+and hands ``expand`` and ``expand_step`` a run: ``run(rows, i, limit)``
+takes up to ``limit`` steps from step i and returns their digit tuples and
+the rows after them.  A run stops early at termination or just before a
+step it cannot certify, which it then takes as the generic step above, so
+that step alone refuses.  The backends differ only in what a row is, how
+its floor is certified, and how many steps a run takes:
 
 - a rational row is one integer, D the common denominator; its floor is
-  integer division, and order 1 is Euclid's algorithm;
+  integer division.  Order 1 is Euclid's algorithm, and its run is a bare
+  ``divmod`` loop to termination; higher orders run one step at a time;
 - a number-field row is a vector of integer power-basis coordinates; the
   field encloses its value on a dyadic bracket of theta, at a precision it
   keeps between calls (``NumberField.ratio_floors``);
@@ -28,13 +33,16 @@ only in what a row is and how its floor is certified:
   is a pair of linear inequalities, so the inputs sharing a prefix are
   convex and the box lies among them exactly when its 2^m corners do: when
   the least of v_k - a*v_0 is >= 0 and of (a+1)*v_0 - v_k is > 0, each read
-  off its coefficient signs.
+  off its coefficient signs.  An order-1 box has two corners, t = 0 and
+  t = 1, and its run is two Euclids in lockstep on them, while both give
+  the same non-negative quotient and neither remainder is 0.
 
 The step is unimodular, so rows of content 1 keep content 1: scaling the
 inputs once by their least common denominator is the only division.
 
 The dynamics are deterministic, so once a number-field state equals an
-earlier one the digits between them repeat forever: ``expand`` stops there
+earlier one the digits between them repeat forever.  A field run is one
+step, so ``expand`` sees every state; it stops at the first repeat
 and copies that cycle out to the requested depth.  It looks rows up by
 their image at the field's integer key point, a tuple of integers modulo M
 (``NumberField.ratio_key``), and a key hit is confirmed exactly; the rare
@@ -118,11 +126,12 @@ class Expansion:
 
 
 def expand_step(state: ExpansionState) -> tuple[tuple[int, ...], ExpansionState | None]:
-    """One expansion step: the digit tuple and the next state (None on
-    exact termination).  An exact state goes in as rows and comes out as
-    values, which costs one inverse; a box carries its forms along."""
-    rows, _, step, state_of = _start(state.values, state.forms)
-    digits, rows = step(rows, state.step)
+    """One expansion step, a run of limit 1: the digit tuple and the next
+    state (None on exact termination).  An exact state goes in as rows and
+    comes out as values, which costs one inverse; a box carries its forms
+    along."""
+    rows, _, run, state_of = _start(state.values, state.forms)
+    (digits,), rows = run(rows, state.step, 1)
     return digits, state_of(rows, state.step + 1) if any(rows[0]) else None
 
 
@@ -148,18 +157,62 @@ def _forms_step(forms, step: int):
     v0, *vs = forms
     digits = _rational_floors(v0, vs)  # the floors at the all-low corner
     nxt = _row_step(forms, digits)
-    for v, rest in zip(vs, (*nxt[2:], nxt[0])):
+    for k, (v, rest) in enumerate(zip(vs, (*nxt[2:], nxt[0])), 1):
         if _least(rest) < 0 or _least([c0 - c for c, c0 in zip(rest, v0)]) <= 0:
             # The box floors apart, so the floor of its hull refuses.
             lo, hi = _ratio_end(v, v0, 1), _ratio_end(v, v0, -1)
-            GuardedDecimal((lo + hi) / 2, (hi - lo) / 2).floor()
+            try:
+                GuardedDecimal((lo + hi) / 2, (hi - lo) / 2).floor()
+            except AmbiguousFloor as exc:
+                raise AmbiguousFloor(
+                    f"component {k} at step {step}: {exc}", exc.extra_digits_hint, step, k
+                ) from None
     _check_nonnegative(digits, step)
     if _least(nxt[0]) == 0:
         raise AmbiguousFloor(
             f"component {len(digits)} at step {step} may have fractional "
-            "part exactly zero: the guard band reaches zero; supply more trusted digits"
+            "part exactly zero: the guard band reaches zero; supply more trusted digits",
+            step=step,
+            component=len(digits),
         )
     return digits, nxt
+
+
+def _box_run(forms, step: int, limit: int):
+    """Up to ``limit`` steps of a box's forms.  An order-1 box runs Euclid on
+    its corners (v_0(0), v_1(0)) and (v_0(1), v_1(1)) in lockstep while both
+    give one quotient a >= 0 and neither remainder is 0, which is when
+    ``_forms_step`` certifies a; any other step is ``_forms_step``."""
+    out = []
+    if len(forms) == 2:
+        (q, dq), (p, dp) = forms
+        q1, p1 = q + dq, p + dp
+        for _ in range(limit):
+            a, r = divmod(p, q)
+            a1, r1 = divmod(p1, q1)
+            if a != a1 or a < 0 or not r or not r1:
+                break
+            out.append((a,))
+            p, q, p1, q1 = q, r, q1, r1
+        forms = ((q, q1 - q), (p, p1 - p))
+    if not out:
+        digits, forms = _forms_step(forms, step)
+        out.append(digits)
+    return out, forms
+
+
+def _euclid(rows, limit: int):
+    """Up to ``limit`` quotients of order-1 rational rows ((v_0,), (v_1,)),
+    v_1 >= 0, by Euclid's algorithm, ending at remainder 0."""
+    (q,), (p,) = rows
+    out = []
+    for _ in range(limit):
+        a, r = divmod(p, q)
+        out.append((a,))
+        p, q = q, r
+        if not r:
+            break
+    return out, ((q,), (p,))
 
 
 def _box_forms(box) -> tuple[tuple[int, ...], ...]:
@@ -200,13 +253,13 @@ def _check_nonnegative(digits: tuple[int, ...], step: int):
 
 
 def expand(values: Sequence[RealValue | int], max_depth: int) -> Expansion:
-    """Step the rows of ``values`` up to ``max_depth`` digit tuples, to
+    """Run the rows of ``values`` up to ``max_depth`` digit tuples, to
     termination or to the first exact state recurrence, whose cycle fills
     the rest."""
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
-    rows, field, step, _ = _start(values)
-    start = None if step is _forms_step else (rows, field)  # a box has no exact states
+    rows, field, run, _ = _start(values)
+    start = None if run is _box_run else (rows, field)  # a box has no exact states
     seen: dict[tuple, list[int]] = {}  # field inputs: key -> the steps holding it
     unkeyed: list[int] = []  # field inputs: the steps whose state has no key
     held: list[tuple] = []  # field inputs: the rows of every state
@@ -215,7 +268,8 @@ def expand(values: Sequence[RealValue | int], max_depth: int) -> Expansion:
     out: list[tuple[int, ...]] = []
     terminated_at: int | None = None
     recurrence: tuple[int, int] | None = None
-    for i in range(max_depth):
+    i = 0
+    while i < max_depth:
         if field is not None:
             # Equal states share a key unless one has none; a hit is confirmed
             # exactly.  At most one earlier state can match, so the order in
@@ -227,18 +281,20 @@ def expand(values: Sequence[RealValue | int], max_depth: int) -> Expansion:
                 break
             (unkeyed if key is None else seen.setdefault(key, [])).append(i)
             held.append(rows)
-        digits, rows = step(rows, i)
+        run_digits, rows = run(rows, i, max_depth - i)
         if field is not None and any(rows[0]):
             # Proves the new v_0 a unit, or raises ReducibleModulus.
             key = field.ratio_key(rows)
-        out.append(digits)
-        if i >= 1 and digits[0] < 1:
-            raise AssertionError(
-                f"first-sequence digit {digits[0]} < 1 at step {i}; "
-                "expansion invariant broken"
-            )
+        for j, digits in enumerate(run_digits, i):
+            if digits[0] < 1 and j >= 1:
+                raise AssertionError(
+                    f"first-sequence digit {digits[0]} < 1 at step {j}; "
+                    "expansion invariant broken"
+                )
+        out += run_digits
+        i += len(run_digits)
         if not any(rows[0]):
-            terminated_at = i
+            terminated_at = i - 1
             break
 
     if recurrence is not None:
@@ -247,12 +303,14 @@ def expand(values: Sequence[RealValue | int], max_depth: int) -> Expansion:
 
 
 def _start(values, forms=None):
-    """(rows, field, step, state_of) of a value tuple; the only code that
+    """(rows, field, run, state_of) of a value tuple; the only code that
     reads value types.  Ints count as rationals; an empty tuple, a non-value
     or mixed backends or fields are refused.  ``rows`` are the integer rows
     (a box's ``forms`` once its state carries them), ``field`` is None but
-    for field elements, ``step(rows, i)`` gives (digits, next rows) and
-    ``state_of(rows, i)`` the ExpansionState of later rows."""
+    for field elements, ``run(rows, i, limit)`` gives the digit tuples of
+    1 to ``limit`` steps from step i and the rows after them, and
+    ``state_of(rows, i)`` the ExpansionState of later rows.  Only order-1
+    rationals and boxes run more than one step per call."""
     vals = tuple(Fraction(v) if isinstance(v, int) else v for v in values)
     if not vals:
         raise ValueError("at least one value required")
@@ -275,20 +333,24 @@ def _start(values, forms=None):
     (kind,) = kinds
     if kind == "guarded":
         rows = forms or _box_forms(vals)
-        return rows, None, _forms_step, lambda rows, i: ExpansionState(vals, i, rows)
+        return rows, None, _box_run, lambda rows, i: ExpansionState(vals, i, rows)
     if kind == "rational":
         field, floors, coords = None, _rational_floors, [(x,) for x in vals]
     else:
         field = kind[1]
         floors, coords = field.ratio_floors, [x.coords for x in vals]
 
-    def step(rows, i):
+    euclid = kind == "rational" and len(vals) == 1
+
+    def run(rows, i, limit):
+        if euclid and rows[1][0] >= 0:
+            return _euclid(rows, limit)
         digits = floors(rows[0], rows[1:])
         _check_nonnegative(digits, i)
-        return digits, _row_step(rows, digits)
+        return [digits], _row_step(rows, digits)
 
     rows = integer_rows(coords)
-    return rows, field, step, lambda rows, i: ExpansionState(_values(rows, field), i)
+    return rows, field, run, lambda rows, i: ExpansionState(_values(rows, field), i)
 
 
 def _rational_floors(den, nums) -> tuple[int, ...]:

@@ -40,6 +40,21 @@ def test_expand_rational(capsys):
     assert out == "bcf-digits v1\nm: 1\nhead[1]: 1 1 3\nterminated: 2\n"
 
 
+def test_order1_expand_goldens(capsys):
+    # A 200-digit rational that terminates at step 377, and 50 trusted
+    # digits of sqrt(2) that certify all 60 tuples asked for.
+    rat = f"rat:{3**420 + 7}/{2**660 + 1}"
+    sqrt2 = "dec:1.41421356237309504880168872420969807856967187537694,guard=2"
+    for argv, fixture in [
+        (["expand", rat, "--depth", "1000"], "expand_rat_euclid.txt"),
+        (["expand", sqrt2, "--depth", "60"], "expand_dec_sqrt2.txt"),
+    ]:
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert out == (GOLDEN / fixture).read_text()
+    assert "terminated: 377" in (GOLDEN / "expand_rat_euclid.txt").read_text()
+
+
 def test_expand_tribonacci_pair_all_ones(capsys):
     code, out, _ = run_cli(capsys, ["expand", TRIB_ALPHA, TRIB_BETA, "--depth", "8"])
     assert code == 0
@@ -330,6 +345,14 @@ def test_exit_3_on_moore_pair_at_order_2(capsys):
     )
     assert code == 3
     assert "digit" in err
+
+
+def test_refusal_names_its_step_and_component(capsys):
+    code, _, err = run_cli(
+        capsys, ["expand", "dec:1.839286755214161", "dec:0.5436890126920764", "--depth", "40"]
+    )
+    assert code == 3
+    assert err.startswith("error: component 1 at step 34: value 1.87141277187 is within")
 
 
 def test_exit_4_on_mixed_fields(capsys):

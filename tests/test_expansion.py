@@ -301,6 +301,91 @@ def test_guarded_refusal_order_and_hint():
     assert len(expand([GuardedDecimal.from_literal("1.8392867552141611", 2)], 9)) == 9
 
 
+def test_order1_box_refusal_names_the_step_of_the_run():
+    # The run certifies steps 0-7 by its corner Euclids and hands step 8 to
+    # the generic step, which refuses there.
+    g = GuardedDecimal.from_literal("1.83928675521416", guard_digits=2)
+    assert len(expand([g], 8)) == 8
+    with pytest.raises(AmbiguousFloor) as exc:
+        expand([g], 40)
+    assert (exc.value.step, exc.value.component, exc.value.extra_digits_hint) == (8, 1, 2)
+    assert str(exc.value).startswith("component 1 at step 8: value 2.82032583812 is within")
+
+
+def test_first_digit_invariant_checks_every_digit_of_a_run(monkeypatch):
+    # A run whose second tuple breaks the invariant trips it at that step.
+    monkeypatch.setattr(expansion, "_euclid", lambda rows, limit: ([(2,), (0,)], ((1,), (1,))))
+    with pytest.raises(AssertionError, match="first-sequence digit 0 < 1 at step 1"):
+        expand([Fraction(7, 4)], 5)
+
+
+@st.composite
+def order1_values(draw):
+    """A rational (integers, 0 and negatives included) or a guarded box
+    [lo, hi] at scale 10^-k, k = 0 giving integer ends; boxes may straddle
+    an integer or 0 and so refuse at step 0, or refuse later."""
+    k = draw(st.integers(0, 30))
+    if draw(st.booleans()):
+        q = draw(st.sampled_from([1, 10**k]) | st.integers(1, 10**k))
+        return Fraction(draw(st.integers(-3 * q, 5 * q)), q)
+    s = 10**k
+    lo = draw(st.integers(-2 * s, 5 * s))
+    width = draw(st.integers(1, 10 ** draw(st.integers(0, k))))
+    return GuardedDecimal(Fraction(2 * lo + width, 2 * s), Fraction(width, 2 * s))
+
+
+def expand_outcome(run):
+    """(digit tuples, terminated_at) of ``run()``, or its refusal's class and message."""
+    try:
+        return run()
+    except (AmbiguousFloor, NegativeInput) as exc:
+        return type(exc), str(exc)
+
+
+def by_expand(value, depth):
+    e = expand([value], depth)
+    return list(zip(*e.digits)), e.terminated_at
+
+
+def by_steps(value, depth):
+    state, rows = ExpansionState((value,), 0), []
+    while state is not None and len(rows) < depth:
+        digits, state = expand_step(state)
+        rows.append(digits)
+    return rows, len(rows) - 1 if state is None else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(order1_values(), st.integers(1, 80))
+@example(Fraction(0), 5)
+@example(Fraction(7), 5)
+@example(Fraction(-1, 3), 5)
+@example(GuardedDecimal(Fraction(-1, 2), Fraction(1, 2)), 5)  # [-1, 0]
+@example(GuardedDecimal(Fraction(3, 2), Fraction(1, 2)), 5)  # [1, 2]
+@example(GuardedDecimal(Fraction(1, 2), Fraction(1, 1000)), 5)
+@example(GuardedDecimal.from_literal("1.83928675521416", 2), 40)  # refuses at step 8
+def test_order1_runs_match_a_chain_of_steps(value, depth):
+    # expand takes order-1 inputs in runs; expand_step takes one step.
+    assert expand_outcome(lambda: by_expand(value, depth)) == expand_outcome(
+        lambda: by_steps(value, depth)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-(10**20), 10**80), st.integers(1, 10**60))
+@example(0, 1)
+@example(10**40, 1)
+@example(-1, 10**30)
+def test_order1_rationals_match_the_divmod_oracle(p, q):
+    if p < 0:
+        with pytest.raises(NegativeInput, match="component 1 at step 0 has negative floor"):
+            expand([Fraction(p, q)], 10)
+        return
+    e = expand([Fraction(p, q)], 10**4)
+    assert list(e.digits[0]) == classic_cf(p, q)
+    assert e.terminated_at == len(e) - 1
+
+
 @st.composite
 def guarded_boxes(draw):
     """An order 1-3 box of non-negative decimals, each drawn digit by digit
@@ -399,19 +484,25 @@ def test_corner_certification_is_sound_and_optimal(box, weights):
 def corner_oracle(box, depth):
     """The rule the guarded step must match, on the 2^m exact corners of the
     box: refuse by the floor of the corners' hull when they floor apart,
-    then step each corner exactly (which refuses a negative floor) and
-    refuse when one terminates."""
+    naming the step and component, then step each corner exactly (which
+    refuses a negative floor) and refuse when one terminates."""
     corners = list(itertools.product(*(g.bounds() for g in box)))
     for step in range(depth):
         for k in range(len(box)):
             lo, hi = min(c[k] for c in corners), max(c[k] for c in corners)
             if math.floor(lo) != math.floor(hi):
-                GuardedDecimal((lo + hi) / 2, (hi - lo) / 2).floor()
+                try:
+                    GuardedDecimal((lo + hi) / 2, (hi - lo) / 2).floor()
+                except AmbiguousFloor as exc:
+                    where = f"component {k + 1} at step {step}"
+                    raise AmbiguousFloor(f"{where}: {exc}", exc.extra_digits_hint, step, k + 1)
         steps = [expand_step(ExpansionState(c, step)) for c in corners]
         if any(nxt is None for _, nxt in steps):
             raise AmbiguousFloor(
                 f"component {len(box)} at step {step} may have fractional part "
-                "exactly zero: the guard band reaches zero; supply more trusted digits"
+                "exactly zero: the guard band reaches zero; supply more trusted digits",
+                step=step,
+                component=len(box),
             )
         yield steps[0][0]
         corners = [nxt.values for _, nxt in steps]
@@ -425,14 +516,15 @@ def guarded_steps(box, depth):
 
 
 def run_to_refusal(steps):
-    """(certified digit tuples, refusal class, message, hint)."""
+    """(certified digit tuples, refusal class, message, hint, step, component)."""
     rows = []
     try:
         for digits in steps:
             rows.append(digits)
     except (AmbiguousFloor, NegativeInput) as exc:
-        return rows, type(exc), str(exc), getattr(exc, "extra_digits_hint", None)
-    return rows, None, None, None
+        where = [getattr(exc, name, None) for name in ("extra_digits_hint", "step", "component")]
+        return rows, type(exc), str(exc), *where
+    return rows, None, None, None, None, None
 
 
 @settings(max_examples=300, deadline=None)
