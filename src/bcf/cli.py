@@ -4,7 +4,9 @@ Exit codes: 0 success, 2 parse/usage error, 3 precision failure,
 4 algebra failure, 5 unsupported request; each error family in ``errors``
 carries its code as ``exit_code``.  JSON output never carries
 binary floating point: exact quantities are decimal strings of integers
-or fractions, and decimal renderings always state their precision.
+or fractions, and decimal renderings always state their precision.  It is
+``json.dumps(payload, indent=2)``; the convergents document, which grows
+with the request, is written directly and is byte-identical to that.
 """
 
 from __future__ import annotations
@@ -19,13 +21,15 @@ from . import __version__
 from .arith import GuardedDecimal
 from .closedform import allones_poly, alpha_cubic, beta_cubic, cubic_hunt
 from .errors import BcfError, ParseError
-from .evaluation import DigitSpec, convergent_table, render_tree
+from .evaluation import DigitSpec, convergent_columns, render_tree
 from .expansion import expand
 from .formats import (
     DigitFile,
+    decimal_ratio,
     decimal_string,
     dumps_digit_file,
     format_fraction,
+    format_ratio,
     format_value_spec,
     loads_digit_file,
     parse_inline_digits,
@@ -105,18 +109,22 @@ def _format_option(p: argparse.ArgumentParser):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = {
-        "expand": cmd_expand,
-        "convergents": cmd_convergents,
-        "tree": cmd_tree,
-        "closed-form": cmd_closed_form,
-        "kbonacci": cmd_kbonacci,
-        "period": cmd_period,
-        "cubic-hunt": cmd_cubic_hunt,
-    }[args.command]
+    # Exact integers of any size are read and printed, so Python's int<->str digit
+    # limit is lifted while a command runs (int() = 0: no limit, before 3.10.7).
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
+        args = build_parser().parse_args(argv)
+        handler = {
+            "expand": cmd_expand,
+            "convergents": cmd_convergents,
+            "tree": cmd_tree,
+            "closed-form": cmd_closed_form,
+            "kbonacci": cmd_kbonacci,
+            "period": cmd_period,
+            "cubic-hunt": cmd_cubic_hunt,
+        }[args.command]
         handler(args)
     except BcfError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -124,6 +132,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return 0
 
 
@@ -204,27 +215,28 @@ def cmd_convergents(args):
     upto = args.upto
     if spec.max_depth is not None:
         upto = min(upto, max(spec.max_depth, 0))
-    table = convergent_table(spec, upto)
+    places, scale = args.places, 10**args.places
+    rows = [
+        ([format_ratio(x, x0) for x in xs], [decimal_ratio(x, x0, places, scale) for x in xs])
+        for x0, *xs in convergent_columns(spec, upto)
+    ]
     if args.format == "json":
-        payload = {
-            "m": spec.order,
-            "decimal_places": args.places,
-            "convergents": [
-                {
-                    "depth": n,
-                    "values": [format_fraction(v) for v in row],
-                    "decimals": [decimal_string(v, args.places) for v in row],
-                }
-                for n, row in enumerate(table)
-            ],
-        }
-        _emit_json(payload)
+        print(_convergents_json(spec.order, places, rows))
     else:
-        for n, row in enumerate(table):
-            cells = " | ".join(
-                f"{format_fraction(v)} ~ {decimal_string(v, args.places)}" for v in row
-            )
-            print(f"{n}: {cells}")
+        for n, (values, decimals) in enumerate(rows):
+            print(f"{n}: " + " | ".join(f"{v} ~ {d}" for v, d in zip(values, decimals)))
+
+
+def _convergents_json(m: int, places: int, rows) -> str:
+    """``json.dumps(payload, indent=2)`` of the convergents document: its shape
+    is fixed and its strings (digits, '/' and '.') need no escaping."""
+    sep = '",\n        "'
+    entries = ",\n".join(
+        f'    {{\n      "depth": {n},\n      "values": [\n        "{sep.join(values)}"\n      ],\n'
+        f'      "decimals": [\n        "{sep.join(decimals)}"\n      ]\n    }}'
+        for n, (values, decimals) in enumerate(rows)
+    )
+    return f'{{\n  "m": {m},\n  "decimal_places": {places},\n  "convergents": [\n{entries}\n  ]\n}}'
 
 
 def cmd_tree(args):

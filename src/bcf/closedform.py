@@ -101,6 +101,12 @@ def cubic_hunt(
     # every |c0| <= height, so the window skips no hit.  v1 = 0 keeps every c1.
     bound = (2 * (height + span) + 1) * qq
     sign, d = (1, 2 * v1) if v1 >= 0 else (-1, -2 * v1)
+    # Along a c1 window s = r*q^3 + rem (0 <= rem < q^3) steps by v1 with one carry.
+    # Each c0 within span of -round(s/q^3) is k - r for a k in [-span - 1, span], and
+    # the exact test |s + c0*q^3| = |k*q^3 + rem| < tol*q^3 reads below_k < rem < above_k.
+    dr, drem = divmod(v1, qq)
+    limit = -(-tn * qq // td)
+    offsets = [(k, -limit - k * qq, limit - k * qq) for k in range(-span - 1, span + 1)]
     found: list[CubicCandidate] = []
     for c3 in range(1, height + 1):
         for c2 in range(-height, height + 1):
@@ -108,14 +114,15 @@ def cubic_hunt(
             u = 2 * sign * t
             lo = max(-height, (-bound - u) // d + 1) if d else -height
             hi = min(height, -((u - bound) // d) - 1) if d else height
+            r, rem = divmod(t + lo * v1, qq)
             for c1 in range(lo, hi + 1):
-                s = t + c1 * v1
-                r, rem = divmod(s, qq)  # r = round(s/q^3), ties to even as round() does
-                if 2 * rem > qq or (2 * rem == qq and r & 1):
-                    r += 1
-                for c0 in range(max(-r - span, -height), min(-r + span, height) + 1):
-                    num = abs(s + c0 * qq)
-                    if num * td < tn * qq and gcd(c3, c2, c1, c0) == 1:
-                        found.append(CubicCandidate((c3, c2, c1, c0), Fraction(num, qq)))
+                for k, below, above in offsets:
+                    c0 = k - r
+                    if below < rem < above and -height <= c0 <= height and gcd(c3, c2, c1, c0) == 1:
+                        residual = Fraction(abs(rem + k * qq), qq)
+                        found.append(CubicCandidate((c3, c2, c1, c0), residual))
+                r, rem = r + dr, rem + drem
+                if rem >= qq:
+                    r, rem = r + 1, rem - qq
     found.sort(key=lambda c: (c.residual, c.coeffs))
     return found

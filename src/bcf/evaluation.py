@@ -7,9 +7,10 @@ digit tuples a(0)..a(n).  One more digit tuple turns the product's columns
 (c_0, c_1, ..., c_m) into (c_m, c_0 + sum_k a_k c_k, c_1, ..., c_(m-1)),
 and the new column (X_0, ..., X_m) is the convergent (X_1/X_0, ...,
 X_m/X_0); for m = 1 this is p_n = a_n p_(n-1) + p_(n-2).  X_0 >= 1 because
-first-sequence digits past index 0 are >= 1.  The order-2 case also
-renders as the two-branch tree where a-nodes split into (b_(i+1) over
-a_(i+1)) and b-nodes into (1 over a_(i+1)).
+first-sequence digits past index 0 are >= 1.  The CLI reads its cells off
+these integer columns (``convergent_columns``) without building fractions.
+The order-2 case also renders as the two-branch tree where a-nodes split
+into (b_(i+1) over a_(i+1)) and b-nodes into (1 over a_(i+1)).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterator, Sequence
 
 from .errors import InsufficientDigits, NoConvergence, UnsupportedOrder
@@ -133,10 +135,7 @@ def _product_columns(spec: DigitSpec) -> Iterator[list[int]]:
     m = spec.order
     cols = [tuple(int(i == j) for i in range(m + 1)) for j in range(m + 1)]
     for digits in spec.columns():
-        new = [
-            c0 + sum(a * col[i] for a, col in zip(digits, cols[1:]))
-            for i, c0 in enumerate(cols[0])
-        ]
+        new = [sum(map(mul, digits, row), c0) for c0, *row in zip(*cols)]
         cols = [cols[m], new, *cols[1:m]]
         yield new
 
@@ -157,10 +156,15 @@ def convergent(spec: DigitSpec, depth: int) -> tuple[Fraction, ...]:
     return _ratios(next(itertools.islice(_product_columns(spec), depth, None)))
 
 
+def convergent_columns(spec: DigitSpec, upto: int) -> Iterator[list[int]]:
+    """The integer columns (X_0, ..., X_m) at every depth 0..upto."""
+    _check_depth(spec, upto)
+    return itertools.islice(_product_columns(spec), upto + 1)
+
+
 def convergent_table(spec: DigitSpec, upto: int) -> list[tuple[Fraction, ...]]:
     """Convergents at every depth 0..upto."""
-    _check_depth(spec, upto)
-    return list(itertools.islice(convergents(spec), upto + 1))
+    return list(map(_ratios, convergent_columns(spec, upto)))
 
 
 def reconstruct(

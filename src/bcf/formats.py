@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from .arith import GuardedDecimal, IntPolynomial, NumberField, RealValue
 from .arith.numberfield import FieldElement
@@ -49,16 +50,25 @@ def decimal_string(x: Fraction, places: int) -> str:
     if places < 0:
         raise ValueError("places must be >= 0")
     sign = "-" if x < 0 else ""
-    num, den = abs(x).numerator, abs(x).denominator
-    scaled = num * 10**places // den
-    if places == 0:
-        return f"{sign}{scaled}"
-    intpart, fracpart = divmod(scaled, 10**places)
-    return f"{sign}{intpart}.{fracpart:0{places}d}"
+    return sign + decimal_ratio(abs(x.numerator), x.denominator, places, 10**places)
 
 
 def format_fraction(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    return format_ratio(x.numerator, x.denominator)
+
+
+def decimal_ratio(num: int, den: int, places: int, scale: int) -> str:
+    """num/den (num >= 0, den >= 1) truncated at ``places`` digits; scale = 10**places."""
+    if not places:
+        return str(num // den)
+    intpart, fracpart = divmod(num * scale // den, scale)
+    return f"{intpart}.{fracpart:0{places}d}"
+
+
+def format_ratio(num: int, den: int) -> str:
+    """num/den (den >= 1) in lowest terms; the bare integer when den divides num."""
+    g = gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"
 
 
 # -- value specs ---------------------------------------------------------------

@@ -1,10 +1,17 @@
+import contextlib
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcf.cli import build_parser, main
+from bcf.errors import BcfError
+from bcf.evaluation import convergent_table
+from bcf.formats import parse_inline_digits
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -131,6 +138,98 @@ def test_convergents_unit_json_golden(capsys):
     last = payload["convergents"][-1]
     assert last["values"] == ["24/13", "20/13"]
     assert payload["decimal_places"] == 10
+
+
+def test_convergents_goldens(capsys):
+    # An order-3 spec whose reduced values have denominators other than X_0,
+    # at 30 places; and a finite order-1 spec (pi) at 0 places, cut at its end.
+    mixed = "1 (1 2)/0 (3 1)/2 (0 2)"
+    for argv, fixture in [
+        (["convergents", "--inline", mixed, "--upto", "40", "--places", "30", "--format", "json"],
+         "convergents_mixed_upto40_p30.json"),
+        (["convergents", "--inline", "3 7 15 1 292 1 1 1 2", "--upto", "12", "--places", "0"],
+         "convergents_pi_head_p0.txt"),
+    ]:
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert out == (GOLDEN / fixture).read_text()
+    rows = no_floats((GOLDEN / "convergents_mixed_upto40_p30.json").read_text())["convergents"]
+    assert rows[3]["values"] == ["4", "1/6", "17/6"]
+    assert len(rows) == 41
+    pi_lines = (GOLDEN / "convergents_pi_head_p0.txt").read_text().splitlines()
+    assert pi_lines[-1] == "8: 833719/265381 ~ 3"
+
+
+def oracle_convergents(text: str, upto: int, places: int, fmt: str) -> tuple[int, str]:
+    """``bcf convergents`` rendered as it was before its cells came off the
+    integer columns: a Fraction per cell, rendered one at a time, and the
+    JSON document through ``json.dumps(indent=2)``.  Every value is >= 0."""
+
+    def value(x):
+        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+    def decimal(x):
+        scaled = x.numerator * 10**places // x.denominator
+        if places == 0:
+            return str(scaled)
+        intpart, fracpart = divmod(scaled, 10**places)
+        return f"{intpart}.{fracpart:0{places}d}"
+
+    spec = parse_inline_digits(text)
+    if spec.max_depth is not None:
+        upto = min(upto, max(spec.max_depth, 0))
+    try:
+        table = convergent_table(spec, upto)
+    except BcfError as exc:
+        return exc.exit_code, ""
+    if fmt == "json":
+        payload = {
+            "m": spec.order,
+            "decimal_places": places,
+            "convergents": [
+                {
+                    "depth": n,
+                    "values": [value(v) for v in row],
+                    "decimals": [decimal(v) for v in row],
+                }
+                for n, row in enumerate(table)
+            ],
+        }
+        return 0, json.dumps(payload, indent=2) + "\n"
+    lines = [
+        f"{n}: " + " | ".join(f"{value(v)} ~ {decimal(v)}" for v in row)
+        for n, row in enumerate(table)
+    ]
+    return 0, "".join(line + "\n" for line in lines)
+
+
+@st.composite
+def inline_specs(draw):
+    """Inline digit text: orders 1-4, heads of 0-3 digits, cycles of 1-3 digits
+    or none, digits up to 30 (first-sequence digits past index 0 are >= 1)."""
+    m = draw(st.integers(1, 4))
+    head_len = draw(st.integers(0, 3))
+    cycle_len = draw(st.sampled_from([None, 1, 2, 3]))
+    parts = []
+    for k in range(m):
+        head = [draw(st.integers(0 if k or i == 0 else 1, 30)) for i in range(head_len)]
+        text = " ".join(map(str, head))
+        if cycle_len is not None:
+            cycle = [draw(st.integers(0 if k else 1, 30)) for _ in range(cycle_len)]
+            text += " (" + " ".join(map(str, cycle)) + ")"
+        parts.append(text)
+    return "/".join(parts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(inline_specs(), st.integers(0, 60), st.sampled_from([0, 1, 10, 40]),
+       st.sampled_from(["text", "json"]))
+def test_convergents_match_the_fraction_oracle(text, upto, places, fmt):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["convergents", "--inline", text, "--upto", str(upto),
+                     "--places", str(places), "--format", fmt])
+    assert (code, out.getvalue()) == oracle_convergents(text, upto, places, fmt)
 
 
 def test_convergents_m1_fibonacci(capsys):
@@ -458,3 +557,38 @@ def test_verbose_meta_round_trips(capsys, monkeypatch):
     )
     assert code == 0
     assert out2.splitlines()[-1].startswith("2: 7/4")
+
+
+# 10**4400 + 1 and neighbours, spelled out: past Python's default int<->str
+# limit of 4300 digits, so the test itself converts none of them.
+HUGE = "1" + "0" * 4399 + "1"
+
+
+def test_exact_integers_past_the_int_str_limit(capsys):
+    code, out, err = run_cli(capsys, ["convergents", "--inline", f"1 {HUGE}", "--upto", "1"])
+    assert (code, err) == (0, "")
+    assert out == f"0: 1 ~ 1.0000000000\n1: {HUGE[:-1]}2/{HUGE} ~ 1.0000000000\n"
+    code, out, err = run_cli(capsys, ["expand", f"rat:{HUGE}/3"])
+    assert (code, err) == (0, "")
+    assert out == f"bcf-digits v1\nm: 1\nhead[1]: {'3' * 4400} 1 2\nterminated: 2\n"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int<->str limit")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["convergents", "--inline", f"1 {HUGE}", "--upto", "1"],
+        ["expand", "rat:x/y"],
+        ["kbonacci", "--k", "2"],
+    ],
+)
+def test_main_restores_the_int_str_limit(capsys, argv):
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        with contextlib.suppress(SystemExit):  # argparse's usage error
+            main(argv)
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(before)
+    capsys.readouterr()
