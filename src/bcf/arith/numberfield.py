@@ -8,8 +8,8 @@ helpers, reduced modulo p.
 
 Each field keeps one isolating bracket of theta, the tightest found so
 far, and is the package's only root refiner.  ``dyadic`` fixes theta to a
-cell [t, t + 1] / 2^bits by integer Newton steps that double the
-precision, certified by two sign evaluations and backed by bisection, and
+cell [t, t + 1] / 2^bits by integer Newton at that precision from the last
+cell, certified by two sign evaluations and backed by bisection, and
 stores the cell back as the bracket, so later decisions start where
 earlier ones stopped instead of at the user's interval.  Integer residues
 are enclosed on that cell by interval Horner: every floor (``ratio_floors``,
@@ -43,6 +43,7 @@ from ..errors import (
 from .polynomials import (
     IntPolynomial,
     bisect_once,
+    homogeneous_eval,
     qp_deg,
     qp_divmod,
     qp_ext_gcd,
@@ -51,7 +52,6 @@ from .polynomials import (
     qp_sub,
     root_count,
     scaled_box,
-    scaled_eval,
     sturm_chain,
 )
 
@@ -96,7 +96,6 @@ class NumberField:
         self.modulus = modulus
         self.root_interval = (lo, hi)
         self.bracket = (lo, hi, sign_lo)  # tightest known; sign of modulus at lo
-        self._qmodulus = chain[0]  # the modulus as rationals, for residues
         self._dmodulus = tuple(k * c for k, c in enumerate(modulus.coeffs))[1:]
         self._cell = (None, 0, 0)  # (bracket, bits, t): the last answer of dyadic
         self._floor_bits = FLOOR_BITS  # the precision the last floors needed
@@ -104,10 +103,11 @@ class NumberField:
     def dyadic(self, bits: int) -> int:
         """An integer t with theta in [t, t + 1] / 2^bits.
 
-        From the current bracket, integer Newton steps double the precision;
-        two sign evaluations certify the cell, which is stored back as the
-        bracket.  Should Newton miss (from a bracket too wide for it), the
-        bracket is bisected once and Newton tried again."""
+        Integer Newton at the requested precision starts from the current
+        bracket, which is the last cell found; two sign evaluations certify
+        the cell, which is stored back as the bracket.  Should Newton miss
+        (from a bracket too wide for it), the bracket is bisected once and
+        Newton tried again."""
         bracket, cell_bits, t = self._cell
         if bracket is self.bracket and cell_bits == bits:
             return t
@@ -122,29 +122,18 @@ class NumberField:
             self.bracket = bisect_once(self.modulus, lo, hi, s_lo)
 
     def _newton(self, bits: int) -> int:
-        """An integer near theta * 2^bits: one integer Newton step at each of
-        the doubling precisions from the bracket's width up to ``bits``, and
-        a few more at ``bits``, each clamped to the bracket."""
-        lo, hi, _ = self.bracket
-        width = hi - lo
-        start = max(width.denominator.bit_length() - width.numerator.bit_length(), 1)
-        ladder = [bits]
-        while ladder[-1] > start:
-            ladder.append((ladder[-1] + 1) // 2)
-        mid = (lo + hi) / 2
-        x, prev = (mid.numerator << ladder[-1]) // mid.denominator, ladder[-1]
-        for b in reversed(ladder):
-            x <<= b - prev
-            prev = b
-            least = -(-(lo.numerator << b) // lo.denominator)
-            most = (hi.numerator << b) // hi.denominator
-            for _ in range(1 if b < bits else 4):
-                step = scaled_eval(self.modulus.coeffs, x, b) // (
-                    scaled_eval(self._dmodulus, x, b) or 1
-                )
-                x = min(max(x - step, least), most)
-                if -1 <= step <= 1:
-                    break
+        """An integer near theta * 2^bits: integer Newton at ``bits`` from the
+        bracket's midpoint, each step clamped to the bracket, until a step
+        moves by at most 1 (or bits.bit_length() + 4 steps have run)."""
+        (lo, hi, _), p, dp = self.bracket, self.modulus.coeffs, self._dmodulus
+        least = -(-(lo.numerator << bits) // lo.denominator)
+        most = (hi.numerator << bits) // hi.denominator
+        x, scale = (least + most) // 2, 1 << bits
+        for _ in range(bits.bit_length() + 4):
+            step = homogeneous_eval(p, x, scale) // (homogeneous_eval(dp, x, scale) or 1)
+            x, prev = min(max(x - step, least), most), x
+            if -1 <= x - prev <= 1:
+                break
         return x
 
     def _certify(self, t: int, bits: int) -> int | None:
@@ -163,7 +152,7 @@ class NumberField:
                 elif g * hi.denominator >= hi.numerator << bits:
                     sides[g] = 1
                 else:
-                    v = scaled_eval(self.modulus.coeffs, g, bits)
+                    v = homogeneous_eval(self.modulus.coeffs, g, 1 << bits)
                     sides[g] = -s_lo * ((v > 0) - (v < 0))
             return sides[g]
 
@@ -222,7 +211,7 @@ class NumberField:
         # modulus, i.e. their gcd changes sign across the isolating bracket
         # (whose ends are never roots of the modulus, so of the gcd; a
         # constant gcd changes sign nowhere).
-        g = qp_primitive_int(qp_ext_gcd(tuple(map(Fraction, coords)), self._qmodulus)[0])
+        g = qp_primitive_int(qp_ext_gcd(tuple(map(Fraction, coords)), self.modulus.coeffs)[0])
         lo, hi, _ = self.bracket
         return g.sign_at(lo) * g.sign_at(hi) < 0
 
@@ -270,7 +259,7 @@ class NumberField:
         """The inverse of a residue by the exact extended gcd with the modulus;
         a gcd of positive degree is a factor of the modulus, reported so the
         caller can fix the field."""
-        g, u = qp_ext_gcd(tuple(map(Fraction, coords)), self._qmodulus)
+        g, u = qp_ext_gcd(tuple(map(Fraction, coords)), self.modulus.coeffs)
         if qp_deg(g) > 0:
             factor = qp_primitive_int(g)
             raise ReducibleModulus(
@@ -394,7 +383,7 @@ class FieldElement:
         if rhs is None:
             return NotImplemented
         prod = qp_mul(self.coords, rhs.coords)
-        return self.field.element(qp_divmod(prod, self.field._qmodulus)[1])
+        return self.field.element(qp_divmod(prod, self.field.modulus.coeffs)[1])
 
     __rmul__ = __mul__
 
@@ -486,7 +475,7 @@ def _key_point(coeffs) -> tuple[int, int, bool]:
     n = max(h + 3, ceil(2 ** (_KEY_BITS / d)))
     end, first = n + _KEY_WINDOW, None
     while True:
-        m = abs(scaled_eval(coeffs, n, 0))
+        m = abs(homogeneous_eval(coeffs, n, 1))
         s, g = 1, gcd(m, _SMALL_PRIMES)
         while g > 1:
             m, s = m // g, s * g

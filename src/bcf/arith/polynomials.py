@@ -1,8 +1,8 @@
 """Integer polynomials: exact evaluation, interval evaluation on a dyadic
 cell, one bisection step, and Sturm root counts.
 
-Values are rationals or, at a point X/2^bits, integers scaled by a power
-of two, never floats: a floor or sign decision made here is a proof, not
+The value at a point p/q is the integer q^n * c(p/q), its denominator
+cleared, never a float: a floor or sign decision made here is a proof, not
 an estimate.
 """
 
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 
@@ -48,10 +49,13 @@ class IntPolynomial:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def __call__(self, x) -> Fraction:
-        return qp_eval(self.coeffs, x)
+        x = Fraction(x)
+        v = homogeneous_eval(self.coeffs, x.numerator, x.denominator)
+        return Fraction(v, x.denominator ** max(self.degree, 0))
 
     def sign_at(self, x) -> int:
-        v = self(x)
+        x = Fraction(x)
+        v = homogeneous_eval(self.coeffs, x.numerator, x.denominator)
         return (v > 0) - (v < 0)
 
     def pretty(self, var: str = "x") -> str:
@@ -79,11 +83,13 @@ class IntPolynomial:
         return self.pretty()
 
 
-def scaled_eval(coeffs: Sequence[int], x: int, bits: int) -> int:
-    """2^(bits*n) * c(x / 2^bits) for integer coefficients, n = len(coeffs) - 1."""
-    acc = 0
-    for i, c in enumerate(reversed(coeffs)):
-        acc = acc * x + (c << (bits * i))
+def homogeneous_eval(coeffs: Sequence[int], p: int, q: int) -> int:
+    """q^n * c(p / q) for integer coefficients and q >= 1, n = len(coeffs) - 1:
+    Horner on the homogenised polynomial, so the sign is that of c(p / q)."""
+    acc, scale = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * p + c * scale
+        scale *= q
     return acc
 
 
@@ -125,24 +131,27 @@ def bisect_once(
     return lo, mid, s_lo
 
 
-def sturm_chain(poly: IntPolynomial) -> list[tuple[Fraction, ...]]:
-    """Sturm sequence p, p', -rem(p, p'), ... of a non-constant ``poly``.
+def sturm_chain(poly: IntPolynomial) -> list[tuple[int, ...]]:
+    """Sturm sequence p, p', -rem(p, p'), ... of a non-constant ``poly``,
+    each remainder scaled to integers by the positive lcm of its
+    denominators, which keeps every sign.
 
     It stops at the last nonzero remainder, which is gcd(p, p') up to a
     rational unit: of positive degree exactly when p has a repeated factor.
     """
-    chain = [tuple(map(Fraction, poly.coeffs))]
-    chain.append(tuple(k * c for k, c in enumerate(chain[0]))[1:])
+    chain = [poly.coeffs, tuple(k * c for k, c in enumerate(poly.coeffs))[1:]]
     while rem := qp_divmod(chain[-2], chain[-1])[1]:
-        chain.append(tuple(-c for c in rem))
+        d = lcm(*(c.denominator for c in rem))
+        chain.append(tuple(int(-c * d) for c in rem))
     return chain
 
 
-def root_count(chain: Sequence[Sequence[Fraction]], lo: Fraction, hi: Fraction) -> int:
+def root_count(chain: Sequence[Sequence[int]], lo: Fraction, hi: Fraction) -> int:
     """Distinct real roots of ``chain[0]`` in (lo, hi], by Sturm's theorem."""
 
     def variations(x: Fraction) -> int:
-        signs = [v > 0 for v in (qp_eval(p, x) for p in chain) if v]
+        values = (homogeneous_eval(c, x.numerator, x.denominator) for c in chain)
+        signs = [v > 0 for v in values if v]
         return sum(a != b for a, b in zip(signs, signs[1:]))
 
     return variations(lo) - variations(hi)
@@ -151,20 +160,13 @@ def root_count(chain: Sequence[Sequence[Fraction]], lo: Fraction, hi: Fraction) 
 # Rational-coefficient polynomial helpers (ascending tuples of Fractions).
 # These back the number-field arithmetic; they are not a public surface.
 # qp_mul, qp_divmod by a monic divisor and qp_trim keep integer
-# coefficients integers.
+# coefficients integers; any other divisor makes them Fractions.
 
 def qp_trim(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
     n = len(coeffs)
     while n and coeffs[n - 1] == 0:
         n -= 1
     return tuple(coeffs[:n])
-
-
-def qp_eval(coeffs: Sequence, x) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def qp_deg(coeffs: Sequence[Fraction]) -> int:
@@ -199,7 +201,7 @@ def qp_divmod(a: Sequence[Fraction], b: Sequence[Fraction]):
         raise ZeroDivisionError("polynomial division by zero")
     rem = list(qp_trim(a))
     db = len(b) - 1
-    lead = b[-1]
+    lead = Fraction(b[-1])
     # Only the nonzero terms below the lead act; a monic divisor divides nothing.
     terms = [(j, c) for j, c in enumerate(b[:-1]) if c]
     quo = [Fraction(0)] * max(len(rem) - db, 0)
@@ -226,8 +228,6 @@ def qp_ext_gcd(a: Sequence[Fraction], b: Sequence[Fraction]):
 
 def qp_primitive_int(coeffs: Sequence[Fraction]) -> IntPolynomial:
     """Primitive integer polynomial with positive leading coefficient."""
-    from math import gcd, lcm
-
     coeffs = qp_trim(coeffs)
     if not coeffs:
         return IntPolynomial(())

@@ -54,7 +54,7 @@ rows and rebuilds its states only when they are read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import cycle, islice
@@ -70,13 +70,13 @@ class ExpansionState:
     """The value tuple entering step ``step``, as ``expand_step`` takes and
     returns it.  ``expand`` finds recurrences by row keys, not values.
 
-    For guarded inputs ``values`` stays the input box and ``forms`` holds
-    its integer forms D*v after ``step`` steps (None at step 0: ``_box_forms``).
+    ``rows``, not compared, holds the integer rows after ``step`` steps or
+    None; a guarded state keeps its input box as ``values``, its forms as rows.
     """
 
     values: tuple[RealValue, ...]
     step: int
-    forms: tuple[tuple[int, ...], ...] | None = None
+    rows: tuple[tuple[int, ...], ...] | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -120,19 +120,21 @@ class Expansion:
         steps = len(self) if self.recurrence is None else self.recurrence[1]
         out = []
         for i, digits in enumerate(islice(zip(*self.digits), steps)):
-            out.append(ExpansionState(_values(rows, field), i))
+            out.append(ExpansionState(_values(rows, field), i, rows))
             rows = _row_step(rows, digits)
         return tuple(out)
 
 
 def expand_step(state: ExpansionState) -> tuple[tuple[int, ...], ExpansionState | None]:
     """One expansion step, a run of limit 1: the digit tuple and the next
-    state (None on exact termination).  An exact state goes in as rows and
-    comes out as values, which costs one inverse; a box carries its forms
-    along."""
-    rows, _, run, state_of = _start(state.values, state.forms)
+    state (None on exact termination).  The state carries its rows along;
+    an exact one also comes out as values, which costs one inverse."""
+    rows, field, run = _start(state.values, state.rows)
     (digits,), rows = run(rows, state.step, 1)
-    return digits, state_of(rows, state.step + 1) if any(rows[0]) else None
+    if not any(rows[0]):
+        return digits, None
+    values = state.values if run is _box_run else _values(rows, field)
+    return digits, ExpansionState(values, state.step + 1, rows)
 
 
 def _row_step(rows, digits):
@@ -258,7 +260,7 @@ def expand(values: Sequence[RealValue | int], max_depth: int) -> Expansion:
     the rest."""
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
-    rows, field, run, _ = _start(values)
+    rows, field, run = _start(values)
     start = None if run is _box_run else (rows, field)  # a box has no exact states
     seen: dict[tuple, list[int]] = {}  # field inputs: key -> the steps holding it
     unkeyed: list[int] = []  # field inputs: the steps whose state has no key
@@ -302,14 +304,13 @@ def expand(values: Sequence[RealValue | int], max_depth: int) -> Expansion:
     return Expansion(len(rows) - 1, tuple(zip(*out)), terminated_at, recurrence, start)
 
 
-def _start(values, forms=None):
-    """(rows, field, run, state_of) of a value tuple; the only code that
-    reads value types.  Ints count as rationals; an empty tuple, a non-value
-    or mixed backends or fields are refused.  ``rows`` are the integer rows
-    (a box's ``forms`` once its state carries them), ``field`` is None but
-    for field elements, ``run(rows, i, limit)`` gives the digit tuples of
-    1 to ``limit`` steps from step i and the rows after them, and
-    ``state_of(rows, i)`` the ExpansionState of later rows.  Only order-1
+def _start(values, rows=None):
+    """(rows, field, run) of a value tuple; the only code that reads value
+    types.  Ints count as rationals; an empty tuple, a non-value or mixed
+    backends or fields are refused.  ``rows`` are the integer rows (those
+    given, once a state carries them), ``field`` is None but for field
+    elements, and ``run(rows, i, limit)`` gives the digit tuples of 1 to
+    ``limit`` steps from step i and the rows after them.  Only order-1
     rationals and boxes run more than one step per call."""
     vals = tuple(Fraction(v) if isinstance(v, int) else v for v in values)
     if not vals:
@@ -332,8 +333,7 @@ def _start(values, forms=None):
         )
     (kind,) = kinds
     if kind == "guarded":
-        rows = forms or _box_forms(vals)
-        return rows, None, _box_run, lambda rows, i: ExpansionState(vals, i, rows)
+        return rows or _box_forms(vals), None, _box_run
     if kind == "rational":
         field, floors, coords = None, _rational_floors, [(x,) for x in vals]
     else:
@@ -349,8 +349,7 @@ def _start(values, forms=None):
         _check_nonnegative(digits, i)
         return [digits], _row_step(rows, digits)
 
-    rows = integer_rows(coords)
-    return rows, field, run, lambda rows, i: ExpansionState(_values(rows, field), i)
+    return rows or integer_rows(coords), field, run
 
 
 def _rational_floors(den, nums) -> tuple[int, ...]:

@@ -103,6 +103,8 @@ def _parse_dec(body: str) -> GuardedDecimal:
                 guard = int(val)
             except ValueError:
                 raise ParseError(f"guard must be an integer, got {val!r}") from None
+        if "," in opts:  # every option is a guard, so a second one repeats it
+            raise ParseError("duplicate dec option 'guard'")
     try:
         return GuardedDecimal.from_literal(literal, guard_digits=guard)
     except ValueError as exc:
@@ -207,17 +209,20 @@ def loads_digit_file(text: str) -> DigitFile:
         key = key.strip()
         rest = rest.strip()
         if key == "m":
+            _once(m is not None, key)
             m = _parse_int(rest, "m")
-        elif key.startswith("head[") and key.endswith("]"):
-            head[_seq_index(key)] = _parse_digit_row(rest)
-        elif key.startswith("cycle[") and key.endswith("]"):
-            cycle[_seq_index(key)] = _parse_digit_row(rest)
+        elif key.startswith(("head[", "cycle[")) and key.endswith("]"):
+            table, k = head if key.startswith("head[") else cycle, _seq_index(key)
+            _once(k in table, key)
+            table[k] = _parse_digit_row(rest)
         elif key == "terminated":
+            _once(terminated_at is not None, key)
             terminated_at = _parse_int(rest, "terminated")
         elif key == "meta":
             mk, msep, mv = rest.partition("=")
             if not msep:
                 raise ParseError(f"meta line needs key=value: {ln!r}")
+            _once(mk in meta, f"meta {mk}")
             meta[mk] = mv
         else:
             raise ParseError(f"unknown digit-file key {key!r}")
@@ -236,6 +241,11 @@ def loads_digit_file(text: str) -> DigitFile:
     except ValueError as exc:
         raise ParseError(f"invalid digit data: {exc}") from None
     return DigitFile(spec=spec, terminated_at=terminated_at, meta=meta)
+
+
+def _once(seen: bool, key: str) -> None:
+    if seen:  # a second line for one key would make the file mean two things
+        raise ParseError(f"duplicate digit-file key {key!r}")
 
 
 def _seq_index(key: str) -> int:

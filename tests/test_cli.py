@@ -62,6 +62,22 @@ def test_order1_expand_goldens(capsys):
     assert "terminated: 377" in (GOLDEN / "expand_rat_euclid.txt").read_text()
 
 
+def test_field_root_refinement_goldens(capsys):
+    # theta = (1 - sqrt 5) / 2 < 0 puts Newton and the sign tests at negative
+    # points; a bracket (0, 100) around the cube root of 2 starts Newton far
+    # from its root.
+    cbrt2 = "alg:poly=-2,0,0,1;elem={};lo=0;hi=100"
+    for argv, fixture in [
+        (["period", "alg:poly=-1,-1,1;elem=1,-1;lo=-1;hi=0", "--depth", "20", "--format",
+          "json"], "period_neg_root_json.json"),
+        (["expand", cbrt2.format("0,1"), cbrt2.format("0,0,1"), "--depth", "60", "--period"],
+         "expand_cbrt2_pair_wide.txt"),
+    ]:
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert out == (GOLDEN / fixture).read_text()
+
+
 def test_expand_tribonacci_pair_all_ones(capsys):
     code, out, _ = run_cli(capsys, ["expand", TRIB_ALPHA, TRIB_BETA, "--depth", "8"])
     assert code == 0
@@ -429,6 +445,16 @@ def test_exit_2_on_malformed_digit_file(capsys, tmp_path):
     bad.write_text("bogus\n")
     code, _, err = run_cli(capsys, ["convergents", "--digits", str(bad)])
     assert code == 2
+
+
+def test_exit_2_on_a_repeated_key(capsys, tmp_path):
+    twice = tmp_path / "twice.digits"
+    twice.write_text("bcf-digits v1\nm: 1\nhead[1]: 1 2\nhead[1]: 3\n")
+    for argv in (["convergents", "--digits", str(twice)],
+                 ["expand", "dec:1.5,guard=1,guard=2"]):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert "duplicate" in err
 
 
 def test_exit_3_on_ambiguous_floor(capsys):

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -116,6 +117,30 @@ def test_digit_file_parse_errors():
     ):
         with pytest.raises(ParseError):
             loads_digit_file(bad)
+
+
+DIGITS_M1 = "bcf-digits v1\nm: 1\nhead[1]: 1 2\n"
+DIGITS_M2 = "bcf-digits v1\nm: 2\nhead[1]: 1\nhead[2]: 1\ncycle[1]: 1\ncycle[2]: 0\n"
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        (DIGITS_M1 + "m: 1\n", "m"),
+        (DIGITS_M1 + "head[1]: 3\n", "head[1]"),
+        (DIGITS_M2 + "cycle[2]: 1\n", "cycle[2]"),
+        (DIGITS_M1 + "terminated: 1\nterminated: 1\n", "terminated"),
+        (DIGITS_M1 + "meta: source=a\nmeta: source=b\n", "meta source"),
+    ],
+)
+def test_digit_file_refuses_a_repeated_key(text, key):
+    with pytest.raises(ParseError, match=rf"duplicate digit-file key '{re.escape(key)}'"):
+        loads_digit_file(text)
+
+
+def test_dec_spec_refuses_a_repeated_guard():
+    with pytest.raises(ParseError, match="duplicate dec option 'guard'"):
+        parse_value_spec("dec:1.5,guard=1,guard=2")
 
 
 def test_inline_digits():

@@ -339,13 +339,13 @@ def test_key_point_search_stops_at_its_window(coeffs):
     # A reducible modulus never gives a prime M (g(n) and h(n) both divide
     # p(n)), so the search runs to the end of its window and keeps the first
     # acceptable point: (x - 3)(x^2 - 2), x^2 - 1, x^2 - 4.
-    points, scaled_eval = [], numberfield.scaled_eval
+    points, homogeneous_eval = [], numberfield.homogeneous_eval
 
-    def counted(c, x, bits):
+    def counted(c, x, q):
         points.append(x)
-        return scaled_eval(c, x, bits)
+        return homogeneous_eval(c, x, q)
 
-    with mock.patch.object(numberfield, "scaled_eval", counted):
+    with mock.patch.object(numberfield, "homogeneous_eval", counted):
         assert numberfield._key_point(coeffs)[2] is False
     assert len(points) <= numberfield._KEY_WINDOW
 

@@ -3,7 +3,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bcf.arith import numberfield, polynomials
@@ -11,15 +11,16 @@ from bcf.arith.numberfield import NumberField
 from bcf.arith.polynomials import (
     IntPolynomial,
     bisect_once,
+    homogeneous_eval,
     qp_divmod,
-    qp_eval,
     qp_ext_gcd,
     qp_mul,
     qp_primitive_int,
     qp_sub,
     qp_trim,
+    root_count,
     scaled_box,
-    scaled_eval,
+    sturm_chain,
 )
 from bcf.closedform import allones_poly, alpha_cubic
 from bcf.errors import NonIsolatingInterval
@@ -29,6 +30,14 @@ TRIBONACCI = IntPolynomial((-1, -1, -1, 1))
 TETRANACCI = IntPolynomial((-1, -1, -1, -1, 1))
 SQRT2 = IntPolynomial((-2, 0, 1))
 X2_MINUS_1 = IntPolynomial((-1, 0, 1))
+
+
+def fraction_horner(coeffs, x):
+    """Test-only oracle: the value at a rational x by Horner on Fractions."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def root_bracket(poly, lo, hi, width):
@@ -74,13 +83,25 @@ def test_interval_eval_contains_point_values(coeffs, t, bits, f):
     lo, hi = scaled_box(coeffs, t, bits)
     scale = 2 ** (bits * (len(coeffs) - 1))
     for x in (t, t + f, t + 1):
-        assert lo <= scale * qp_eval(coeffs, Fraction(x, 2**bits)) <= hi
+        assert lo <= scale * fraction_horner(coeffs, Fraction(x, 2**bits)) <= hi
 
 
-@given(st.one_of(st.just([]), SCALED_COEFFS), SCALED_T, st.integers(0, 80))
-def test_scaled_eval_is_the_exact_value(coeffs, x, bits):
-    scale = 2 ** (bits * max(len(coeffs) - 1, 0))
-    assert scaled_eval(coeffs, x, bits) == scale * qp_eval(coeffs, Fraction(x, 2**bits))
+# Denominators: 1 (the key point), a power of two (a dyadic point) and odd.
+DENOMINATORS = st.one_of(
+    st.just(1),
+    st.integers(0, 80).map(lambda bits: 1 << bits),
+    st.integers(0, 10**6).map(lambda k: 2 * k + 1),
+)
+
+
+@given(st.one_of(st.just([]), SCALED_COEFFS), SCALED_T, DENOMINATORS)
+def test_homogeneous_eval_is_the_exact_value(coeffs, p, q):
+    x = Fraction(p, q)
+    value = fraction_horner(coeffs, x)
+    assert homogeneous_eval(coeffs, p, q) == q ** max(len(coeffs) - 1, 0) * value
+    at_x = IntPolynomial(tuple(coeffs))(x)
+    assert type(at_x) is Fraction and at_x == value
+    assert IntPolynomial(tuple(coeffs)).sign_at(x) == (value > 0) - (value < 0)
 
 
 def test_refine_root_sqrt2_quarter_width():
@@ -180,12 +201,15 @@ def test_bisection_evaluates_only_the_midpoint(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(polynomials, "qp_eval", counted("qp_eval", polynomials.qp_eval))
+    # One evaluator serves the sign tests (polynomials) and Newton and the
+    # cell certificates (numberfield); both names are counted as one.
+    evaluate = counted("eval", polynomials.homogeneous_eval)
+    monkeypatch.setattr(polynomials, "homogeneous_eval", evaluate)
+    monkeypatch.setattr(numberfield, "homogeneous_eval", evaluate)
     monkeypatch.setattr(numberfield, "bisect_once", counted("bisect", numberfield.bisect_once))
-    monkeypatch.setattr(numberfield, "scaled_eval", counted("scaled_eval", numberfield.scaled_eval))
     lo, hi, s_lo = theta.field.bracket
     bisect_once(theta.field.modulus, lo, hi, s_lo)
-    assert calls == {"qp_eval": 1}
+    assert calls == {"eval": 1}
     # The recurrence keys' integer point, chosen once per field, evaluates
     # the modulus at integers; only the root's refinement is counted below.
     theta.field.ratio_key(((1, 0, 0), (0, 1, 0)))
@@ -194,7 +218,7 @@ def test_bisection_evaluates_only_the_midpoint(monkeypatch):
     # The floors read a dyadic bracket of theta that Newton steps refine to
     # 64, 128 and 256 bits, without a bisection; a second run finds it
     # settled already.
-    assert calls == {"scaled_eval": 36}
+    assert calls == {"eval": 26}
     calls.clear()
     assert expand([theta], 60) == first
     assert calls == {}
@@ -271,3 +295,87 @@ def test_qp_ext_gcd_coprime_gives_constant():
     g, u = qp_ext_gcd(res, mod)
     assert len(g) == 1
     assert qp_divmod(qp_sub(g, qp_mul(u, res)), mod)[1] == ()
+
+
+@given(
+    st.lists(st.integers(-20, 20), max_size=7),
+    st.lists(st.integers(-20, 20), max_size=4),
+    st.integers(-5, 5).filter(bool),
+)
+@example([1, 2, 3], [1], 2)  # (3x^2 + 2x + 1) / (2x + 1) once gave 0.25, 1.5 and 0.75
+def test_integer_division_and_gcd_match_the_fraction_path(a, b, lead):
+    # Integer inputs divide exactly by any lead: no binary float comes back.
+    b = (*b, lead)
+    fa, fb = tuple(map(Fraction, a)), tuple(map(Fraction, b))
+    q, r = qp_divmod(a, b)
+    assert (q, r) == reference_divmod(fa, fb)
+    assert all(type(c) in (int, Fraction) for c in q + r)
+    g, u = qp_ext_gcd(a, b)
+    assert (g, u) == qp_ext_gcd(fa, fb)
+    assert all(type(c) in (int, Fraction) for c in g + u)
+
+
+def reference_sturm_chain(coeffs):
+    """Test-only copy of the Fraction Sturm chain p, p', -rem(p, p'), ..."""
+    chain = [tuple(map(Fraction, coeffs))]
+    chain.append(tuple(k * c for k, c in enumerate(chain[0]))[1:])
+    while rem := reference_divmod(chain[-2], chain[-1])[1]:
+        chain.append(tuple(-c for c in rem))
+    return chain
+
+
+def reference_root_count(coeffs, lo, hi):
+    """Test-only Sturm count on the Fraction chain, by Horner on Fractions."""
+    chain = reference_sturm_chain(coeffs)
+
+    def variations(x):
+        signs = [v > 0 for v in (fraction_horner(p, x) for p in chain) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return variations(lo) - variations(hi)
+
+
+@st.composite
+def sturm_cases(draw):
+    """A squarefree integer polynomial of degree 1 to 6, coefficients within
+    +-50, and interval ends lo < hi among negatives, zero and its roots."""
+    roots = []
+    if draw(st.booleans()):  # (b x - a) * r(x), a known rational root a / b
+        a, b = draw(st.integers(-5, 5)), draw(st.integers(1, 3))
+        r = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=6))
+        assume(r[-1])
+        coeffs = qp_mul((-a, b), r)
+        roots.append(Fraction(a, b))
+    else:
+        coeffs = tuple(draw(st.lists(st.integers(-50, 50), min_size=2, max_size=7)))
+        assume(coeffs[-1])
+    assume(len(reference_sturm_chain(coeffs)[-1]) == 1)  # squarefree
+    ends = st.one_of(
+        st.sampled_from([Fraction(0), *roots]),
+        st.fractions(-10, 0, max_denominator=30),
+        st.fractions(-10, 10, max_denominator=30),
+    )
+    lo, hi = sorted((draw(ends), draw(ends)))
+    assume(lo < hi)
+    return coeffs, lo, hi
+
+
+@given(sturm_cases())
+def test_sturm_count_matches_the_fraction_chain(case):
+    coeffs, lo, hi = case
+    chain = sturm_chain(IntPolynomial(coeffs))
+    assert all(type(c) is int for p in chain for c in p)
+    assert root_count(chain, lo, hi) == reference_root_count(coeffs, lo, hi)
+
+
+@settings(deadline=None)  # the first call imports sympy
+@given(sturm_cases())
+def test_sturm_count_matches_sympy(case):
+    sympy = pytest.importorskip("sympy")
+    coeffs, lo, hi = case
+    poly = sympy.Poly(coeffs[::-1], sympy.Symbol("x"))
+    closed = poly.count_roots(sympy.Rational(lo.numerator, lo.denominator),
+                              sympy.Rational(hi.numerator, hi.denominator))
+    # sympy counts on [lo, hi]; root_count on (lo, hi].
+    at_lo = fraction_horner(coeffs, lo) == 0
+    assert root_count(sturm_chain(IntPolynomial(coeffs)), lo, hi) == closed - at_lo
