@@ -78,6 +78,30 @@ def test_none_within_depth():
     assert not r.found
 
 
+# Proven (preperiod, period) of (cbrt N, cbrt N^2) at depth 300, for
+# N = D^3 + d with D <= 6 and 1 <= d <= 3D, plus N = 7; every other such N
+# shows no recurrence within that depth.
+CBRT_PAIR_PERIODS = {
+    2: (1, 2), 3: (6, 17), 7: (1, 15), 9: (8, 10), 10: (10, 22), 12: (5, 10),
+    28: (10, 10), 65: (8, 10), 66: (8, 10), 67: (8, 10), 68: (10, 22),
+    126: (23, 10), 130: (12, 10), 217: (8, 10), 218: (3, 13), 219: (8, 10),
+    220: (3, 15), 228: (6, 10), 234: (1, 12),
+}
+
+
+@pytest.mark.parametrize(
+    "n", [7] + [d**3 + k for d in range(1, 7) for k in range(1, 3 * d + 1)]
+)
+def test_cube_root_pair_period_table(n):
+    d = max(d for d in range(1, 7) if d**3 < n)  # cbrt n lies in (d, d + 1)
+    theta = NumberField(IntPolynomial((-n, 0, 0, 1)), d, d + 1).theta()
+    r = period_report(expand([theta, theta**2], 300))
+    if n in CBRT_PAIR_PERIODS:
+        assert (r.status, (r.preperiod, r.period)) == (PROVEN, CBRT_PAIR_PERIODS[n])
+    else:
+        assert r.status == NONE_WITHIN_DEPTH
+
+
 def test_period_report_proves_exact_and_scans_inexact():
     exact = expand([SQRT2.theta()], 10)
     assert period_report(exact) == PeriodReport(PROVEN, 1, 1, (1, 2))
