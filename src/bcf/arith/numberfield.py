@@ -12,10 +12,11 @@ cell [t, t + 1] / 2^bits by integer Newton at that precision from the last
 cell, certified by two sign evaluations and backed by bisection, and
 stores the cell back as the bracket, so later decisions start where
 earlier ones stopped instead of at the user's interval.  Integer residues
-are enclosed on that cell by interval Horner: every floor (``ratio_floors``,
-the expansion's and the elements') and every element enclosure
-(``interval``) is decided there.  Floors start at the precision the field's
-last floors needed, so no caller chooses or carries one.
+are enclosed on that cell by interval Horner in one loop, ``ratio_floors``,
+which decides every floor; an element's enclosure (``interval``) is read
+off one floor of its value times a power of 2.  The field keeps no
+precision: each caller passes the one its floors start at and gets back
+the one that decided them.
 
 A floor whose enclosure straddles one integer is settled by a gcd test,
 because the value may be that integer.  Expansion states are keyed by their
@@ -44,7 +45,6 @@ from .polynomials import (
     IntPolynomial,
     bisect_once,
     homogeneous_eval,
-    qp_deg,
     qp_divmod,
     qp_ext_gcd,
     qp_mul,
@@ -55,7 +55,7 @@ from .polynomials import (
     sturm_chain,
 )
 
-FLOOR_BITS = 64  # the first precision of a dyadic bracket for floors
+FLOOR_BITS = 64  # the precision a floor starts at when its caller has none
 _KEY_BITS = 30  # the key point n starts where n^d reaches 2^_KEY_BITS
 _KEY_WINDOW = 64  # points tried for a prime M before the first acceptable one is kept
 _SMALL_PRIMES = prod((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
@@ -74,7 +74,7 @@ class NumberField:
                 f"modulus must be monic of degree >= 2, got {modulus.pretty()}"
             )
         chain = sturm_chain(modulus)
-        if qp_deg(chain[-1]) > 0:
+        if len(chain[-1]) > 1:
             factor = qp_primitive_int(chain[-1])
             raise ReducibleModulus(
                 f"modulus {modulus.pretty()} has repeated factor {factor.pretty()}",
@@ -95,10 +95,10 @@ class NumberField:
             )
         self.modulus = modulus
         self.root_interval = (lo, hi)
+        self._chain = chain
         self.bracket = (lo, hi, sign_lo)  # tightest known; sign of modulus at lo
         self._dmodulus = tuple(k * c for k, c in enumerate(modulus.coeffs))[1:]
         self._cell = (None, 0, 0)  # (bracket, bits, t): the last answer of dyadic
-        self._floor_bits = FLOOR_BITS  # the precision the last floors needed
 
     def dyadic(self, bits: int) -> int:
         """An integer t with theta in [t, t + 1] / 2^bits.
@@ -173,16 +173,14 @@ class NumberField:
         self.bracket = (max(lo, cell[0]), min(hi, cell[1]), s_lo)
         return t
 
-    def ratio_floors(self, den, nums) -> tuple[int, ...]:
-        """The floor of num(theta) / den(theta) for each num: integer
-        coordinate vectors, den(theta) > 0.
+    def ratio_floors(self, den, nums, bits: int = FLOOR_BITS) -> tuple[tuple[int, ...], int]:
+        """The floor of num(theta) / den(theta) for each num (integer
+        coordinate vectors, den(theta) > 0) and the precision that decided.
 
-        Each vector is enclosed on the dyadic cell of theta at the precision
-        the field's last floors needed, which doubles until every floor is
-        certain and is kept for the next call.  A ratio that straddles one
+        Each vector is enclosed on the dyadic cell of theta at ``bits``,
+        doubled until every floor is certain.  A ratio that straddles one
         integer c is c exactly when num - c*den vanishes at theta."""
         while True:
-            bits = self._floor_bits
             t = self.dyadic(bits)
             lo0, hi0 = scaled_box(den, t, bits)
             floors: list[int] = []
@@ -197,8 +195,8 @@ class NumberField:
                         break
                     floors.append(b)
                 else:
-                    return tuple(floors)
-            self._floor_bits = bits * 2
+                    return tuple(floors), bits
+            bits *= 2
 
     def _vanishes(self, coords) -> bool:
         """Whether an integer residue is zero at theta.  One prime to M at the
@@ -260,7 +258,7 @@ class NumberField:
         a gcd of positive degree is a factor of the modulus, reported so the
         caller can fix the field."""
         g, u = qp_ext_gcd(tuple(map(Fraction, coords)), self.modulus.coeffs)
-        if qp_deg(g) > 0:
+        if len(g) > 1:
             factor = qp_primitive_int(g)
             raise ReducibleModulus(
                 f"modulus {self.modulus.pretty()} has factor {factor.pretty()}",
@@ -301,7 +299,7 @@ class NumberField:
         # holds a root.
         lo = max(self.root_interval[0], other.root_interval[0])
         hi = min(self.root_interval[1], other.root_interval[1])
-        return lo < hi and root_count(sturm_chain(self.modulus), lo, hi) >= 1
+        return lo < hi and root_count(self._chain, lo, hi) >= 1
 
     def __hash__(self) -> int:
         return hash(self.modulus.coeffs)
@@ -330,6 +328,8 @@ class FieldElement:
         return all(c == 0 for c in self.coords)
 
     def __eq__(self, other) -> bool:
+        """Residue equality: value equality only under an irreducible
+        modulus, for a reducible one has nonzero residues of value zero."""
         if isinstance(other, FieldElement):
             return self.field == other.field and self.coords == other.coords
         if isinstance(other, (int, Fraction)):
@@ -424,30 +424,21 @@ class FieldElement:
     # -- order decisions -----------------------------------------------------
 
     def interval(self, width) -> tuple[Fraction, Fraction]:
-        """Exact rational bounds on the value, at most ``width`` apart.
-
-        The residue is enclosed on the dyadic cell of theta at a precision
-        that doubles from ``FLOOR_BITS`` until the bounds are close enough.
-        The cell comes from the field's current bracket, so the bounds
-        depend on how far earlier decisions refined it; each holds the
-        value."""
+        """Exact rational bounds on the value, at most ``width`` apart: the
+        dyadic cell (n / 2^k, (n + 1) / 2^k) for the least k >= 0 with
+        2^-k <= width and n the floor of the value times 2^k."""
         width = Fraction(width)
         if width <= 0:
             raise ValueError("width must be positive")
-        (d, *_), num = integer_rows([self.coords])
-        bits = FLOOR_BITS
-        while True:
-            lo, hi = scaled_box(num, self.field.dyadic(bits), bits)
-            scale = d << (bits * (len(num) - 1))
-            if hi - lo <= width * scale:
-                return Fraction(lo, scale), Fraction(hi, scale)
-            bits *= 2
+        k = (ceil(1 / width) - 1).bit_length()
+        n = (self * (1 << k)).floor()
+        return Fraction(n, 1 << k), Fraction(n + 1, 1 << k)
 
     def floor(self) -> int:
         """Greatest integer <= value: ``ratio_floors`` of the residue scaled
-        to integers over that scale."""
+        to integers over that scale, from ``FLOOR_BITS``."""
         den, num = integer_rows([self.coords])
-        return self.field.ratio_floors(den, [num])[0]
+        return self.field.ratio_floors(den, [num])[0][0]
 
     __floor__ = floor
 

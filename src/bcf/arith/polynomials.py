@@ -95,18 +95,18 @@ def homogeneous_eval(coeffs: Sequence[int], p: int, q: int) -> int:
 
 def scaled_box(coeffs: Sequence[int], t: int, bits: int) -> tuple[int, int]:
     """Integers [lo, hi] holding 2^(bits*n) * c(X / 2^bits) for every X in
-    [t, t + 1], n = len(coeffs) - 1: interval Horner on integers."""
+    [t, t + 1], n = len(coeffs) - 1: interval Horner on integers.  A cell
+    left of 0 is boxed as c(-Y) on [-t - 1, -t], odd coefficients negated;
+    each Horner sum of c(-Y) is +- that of c(X), so the box is the same."""
+    if t < 0:
+        coeffs, t = [-c if k & 1 else c for k, c in enumerate(coeffs)], -t - 1
     lo = hi = coeffs[-1]
     shift = 0
     for c in reversed(coeffs[:-1]):
         shift += bits
         c <<= shift
-        if t >= 0:  # X >= 0: one product per end, X = t + 1 adds the end itself
-            a, b = lo * t, hi * t
-            lo, hi = (a if lo >= 0 else a + lo) + c, (b + hi if hi >= 0 else b) + c
-        else:
-            ends = (lo * t, lo * (t + 1), hi * t, hi * (t + 1))
-            lo, hi = min(ends) + c, max(ends) + c
+        a, b = lo * t, hi * t  # X >= 0: X = t + 1 adds the end itself
+        lo, hi = (a if lo >= 0 else a + lo) + c, (b + hi if hi >= 0 else b) + c
     return lo, hi
 
 
@@ -167,10 +167,6 @@ def qp_trim(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
     while n and coeffs[n - 1] == 0:
         n -= 1
     return tuple(coeffs[:n])
-
-
-def qp_deg(coeffs: Sequence[Fraction]) -> int:
-    return len(qp_trim(coeffs)) - 1
 
 
 def qp_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:

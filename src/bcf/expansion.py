@@ -26,8 +26,8 @@ its floor is certified, and how many steps a run takes:
   integer division.  Order 1 is Euclid's algorithm, and its run is a bare
   ``divmod`` loop to termination; higher orders run one step at a time;
 - a number-field row is a vector of integer power-basis coordinates; the
-  field encloses its value on a dyadic bracket of theta, at a precision it
-  keeps between calls (``NumberField.ratio_floors``);
+  field encloses its value on a dyadic bracket of theta, at a precision the
+  run carries from step to step (``NumberField.ratio_floors``);
 - a guarded-decimal tuple is a box of inputs, and a row is an integer linear
   form over the box's unit cube.  Each digit condition a <= v_k/v_0 < a + 1
   is a pair of linear inequalities, so the inputs sharing a prefix are
@@ -61,7 +61,7 @@ from itertools import cycle, islice
 from typing import Sequence
 
 from .arith import FieldElement, GuardedDecimal, NumberField, RealValue
-from .arith.numberfield import integer_rows
+from .arith.numberfield import FLOOR_BITS, integer_rows
 from .errors import AmbiguousFloor, MixedFields, NegativeInput
 
 
@@ -157,7 +157,7 @@ def _forms_step(forms, step: int):
     """Step the integer forms of a guarded box; refuse unless the whole box
     floors alike and no point of it terminates."""
     v0, *vs = forms
-    digits = _rational_floors(v0, vs)  # the floors at the all-low corner
+    digits, _ = _rational_floors(v0, vs)  # the floors at the all-low corner
     nxt = _row_step(forms, digits)
     for k, (v, rest) in enumerate(zip(vs, (*nxt[2:], nxt[0])), 1):
         if _least(rest) < 0 or _least([c0 - c for c, c0 in zip(rest, v0)]) <= 0:
@@ -341,17 +341,19 @@ def _start(values, rows=None):
         floors, coords = field.ratio_floors, [x.coords for x in vals]
 
     euclid = kind == "rational" and len(vals) == 1
+    bits = FLOOR_BITS  # a field floors at the precision its last step needed
 
     def run(rows, i, limit):
+        nonlocal bits
         if euclid and rows[1][0] >= 0:
             return _euclid(rows, limit)
-        digits = floors(rows[0], rows[1:])
+        digits, bits = floors(rows[0], rows[1:], bits)
         _check_nonnegative(digits, i)
         return [digits], _row_step(rows, digits)
 
     return rows or integer_rows(coords), field, run
 
 
-def _rational_floors(den, nums) -> tuple[int, ...]:
-    """floor(v_k / v_0) of rational rows, each one integer."""
-    return tuple(v[0] // den[0] for v in nums)
+def _rational_floors(den, nums, bits=None) -> tuple[tuple[int, ...], int | None]:
+    """floor(v_k / v_0) of rational rows, each one integer; bits pass through."""
+    return tuple(v[0] // den[0] for v in nums), bits

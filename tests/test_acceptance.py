@@ -17,6 +17,7 @@ from bcf.expansion import expand
 from bcf.periodicity import PROVEN, period_report
 from bcf.sequences import kbonacci
 from bcf.cli import main as cli_main
+from cli_goldens import CASES as CLI_GOLDENS, GOLDEN
 
 BUILD_DIR = Path(__file__).resolve().parent.parent / "build"
 
@@ -179,30 +180,12 @@ def _dec20(x: Fraction) -> str:
 
 
 def test_criterion_12_golden_cli_outputs(capsys):
-    golden = Path(__file__).parent / "golden"
-    cases = [
-        (["tree", "--inline", "(1)/(1)", "--depth", "2"], "tree_unit_alpha_d2.txt"),
-        (["tree", "--inline", "(1)/(0)", "--depth", "2"], "tree_moore_alpha_d2.txt"),
-        (
-            ["expand",
-             "alg:poly=-2,0,0,0,1;elem=0,1;lo=1;hi=2",
-             "alg:poly=-2,0,0,0,1;elem=0,0,1;lo=1;hi=2",
-             "alg:poly=-2,0,0,0,1;elem=0,0,0,1;lo=1;hi=2",
-             "--depth", "12", "--period", "--format", "json"],
-            "expand_quartic_period.json",
-        ),
-        (
-            ["convergents", "--inline", "(1)/(1)", "--upto", "5", "--format", "json"],
-            "convergents_unit_upto5.json",
-        ),
-    ]
-    for argv, fixture in cases:
-        first = second = None
+    for argv, fixture in CLI_GOLDENS:
         assert cli_main(argv) == 0
         first = capsys.readouterr().out
         assert cli_main(argv) == 0
         second = capsys.readouterr().out
         assert first == second
-        assert first == (golden / fixture).read_text()
-    ok(12, "tree and JSON outputs are byte-identical across runs and match "
-           "the committed fixtures")
+        assert first == (GOLDEN / fixture).read_text()
+    ok(12, "every CLI golden is byte-identical across runs and matches its "
+           "committed fixture")

@@ -2,7 +2,6 @@ import contextlib
 import io
 import json
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +11,7 @@ from bcf.cli import build_parser, main
 from bcf.errors import BcfError
 from bcf.evaluation import convergent_table
 from bcf.formats import parse_inline_digits
-
-GOLDEN = Path(__file__).parent / "golden"
+from cli_goldens import CASES, GOLDEN
 
 TRIB_ALPHA = "alg:poly=-1,-1,-1,1;elem=0,1;lo=1;hi=2"
 TRIB_BETA = "alg:poly=-1,-1,-1,1;elem=0,-1,1;lo=1;hi=2"
@@ -47,35 +45,39 @@ def test_expand_rational(capsys):
     assert out == "bcf-digits v1\nm: 1\nhead[1]: 1 1 3\nterminated: 2\n"
 
 
-def test_order1_expand_goldens(capsys):
-    # A 200-digit rational that terminates at step 377, and 50 trusted
-    # digits of sqrt(2) that certify all 60 tuples asked for.
-    rat = f"rat:{3**420 + 7}/{2**660 + 1}"
-    sqrt2 = "dec:1.41421356237309504880168872420969807856967187537694,guard=2"
-    for argv, fixture in [
-        (["expand", rat, "--depth", "1000"], "expand_rat_euclid.txt"),
-        (["expand", sqrt2, "--depth", "60"], "expand_dec_sqrt2.txt"),
-    ]:
-        code, out, _ = run_cli(capsys, argv)
-        assert code == 0
-        assert out == (GOLDEN / fixture).read_text()
+@pytest.mark.parametrize("argv, fixture", CASES, ids=[fixture for _, fixture in CASES])
+def test_cli_golden(capsys, argv, fixture):
+    assert run_cli(capsys, argv) == (0, (GOLDEN / fixture).read_text(), "")
+
+
+# What the goldens pinned above hold.
+
+
+def test_order1_expand_goldens():
     assert "terminated: 377" in (GOLDEN / "expand_rat_euclid.txt").read_text()
+    # All 60 tuples asked of the 50-digit sqrt(2) are certified.
+    assert len((GOLDEN / "expand_dec_sqrt2.txt").read_text().splitlines()[2].split()) == 61
 
 
-def test_field_root_refinement_goldens(capsys):
-    # theta = (1 - sqrt 5) / 2 < 0 puts Newton and the sign tests at negative
-    # points; a bracket (0, 100) around the cube root of 2 starts Newton far
-    # from its root.
-    cbrt2 = "alg:poly=-2,0,0,1;elem={};lo=0;hi=100"
-    for argv, fixture in [
-        (["period", "alg:poly=-1,-1,1;elem=1,-1;lo=-1;hi=0", "--depth", "20", "--format",
-          "json"], "period_neg_root_json.json"),
-        (["expand", cbrt2.format("0,1"), cbrt2.format("0,0,1"), "--depth", "60", "--period"],
-         "expand_cbrt2_pair_wide.txt"),
-    ]:
-        code, out, _ = run_cli(capsys, argv)
-        assert code == 0
-        assert out == (GOLDEN / fixture).read_text()
+def test_expand_quartic_period_matches_golden_json():
+    payload = no_floats((GOLDEN / "expand_quartic_period.json").read_text())
+    assert payload["period"]["status"] == "proven"
+    assert payload["cycle"] == [["1", "1", "2"], ["0", "0", "1"], ["0", "0", "1"]]
+
+
+def test_convergents_unit_json_golden():
+    payload = no_floats((GOLDEN / "convergents_unit_upto5.json").read_text())
+    last = payload["convergents"][-1]
+    assert last["values"] == ["24/13", "20/13"]
+    assert payload["decimal_places"] == 10
+
+
+def test_convergents_goldens():
+    rows = no_floats((GOLDEN / "convergents_mixed_upto40_p30.json").read_text())["convergents"]
+    assert rows[3]["values"] == ["4", "1/6", "17/6"]
+    assert len(rows) == 41
+    pi_lines = (GOLDEN / "convergents_pi_head_p0.txt").read_text().splitlines()
+    assert pi_lines[-1] == "8: 833719/265381 ~ 3"
 
 
 def test_expand_tribonacci_pair_all_ones(capsys):
@@ -83,18 +85,6 @@ def test_expand_tribonacci_pair_all_ones(capsys):
     assert code == 0
     assert "head[1]: 1 1 1 1 1 1 1 1" in out
     assert "head[2]: 1 1 1 1 1 1 1 1" in out
-
-
-def test_expand_quartic_period_matches_golden_json(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        ["expand", *QUARTIC, "--depth", "12", "--period", "--format", "json"],
-    )
-    assert code == 0
-    assert out == (GOLDEN / "expand_quartic_period.json").read_text()
-    payload = no_floats(out)
-    assert payload["period"]["status"] == "proven"
-    assert payload["cycle"] == [["1", "1", "2"], ["0", "0", "1"], ["0", "0", "1"]]
 
 
 def test_expand_pipe_to_convergents(capsys, monkeypatch):
@@ -141,39 +131,6 @@ def test_expand_pipe_round_trips_quartic_values(capsys, monkeypatch):
     for text, poly in zip(decimals, refs):
         lo, hi = NumberField(poly, 1, 2).theta().interval(Fraction(1, 10**14))
         assert abs(Fraction(text) - (lo + hi) / 2) < Fraction(1, 10**8)
-
-
-def test_convergents_unit_json_golden(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        ["convergents", "--inline", "(1)/(1)", "--upto", "5", "--format", "json"],
-    )
-    assert code == 0
-    assert out == (GOLDEN / "convergents_unit_upto5.json").read_text()
-    payload = no_floats(out)
-    last = payload["convergents"][-1]
-    assert last["values"] == ["24/13", "20/13"]
-    assert payload["decimal_places"] == 10
-
-
-def test_convergents_goldens(capsys):
-    # An order-3 spec whose reduced values have denominators other than X_0,
-    # at 30 places; and a finite order-1 spec (pi) at 0 places, cut at its end.
-    mixed = "1 (1 2)/0 (3 1)/2 (0 2)"
-    for argv, fixture in [
-        (["convergents", "--inline", mixed, "--upto", "40", "--places", "30", "--format", "json"],
-         "convergents_mixed_upto40_p30.json"),
-        (["convergents", "--inline", "3 7 15 1 292 1 1 1 2", "--upto", "12", "--places", "0"],
-         "convergents_pi_head_p0.txt"),
-    ]:
-        code, out, _ = run_cli(capsys, argv)
-        assert code == 0
-        assert out == (GOLDEN / fixture).read_text()
-    rows = no_floats((GOLDEN / "convergents_mixed_upto40_p30.json").read_text())["convergents"]
-    assert rows[3]["values"] == ["4", "1/6", "17/6"]
-    assert len(rows) == 41
-    pi_lines = (GOLDEN / "convergents_pi_head_p0.txt").read_text().splitlines()
-    assert pi_lines[-1] == "8: 833719/265381 ~ 3"
 
 
 def oracle_convergents(text: str, upto: int, places: int, fmt: str) -> tuple[int, str]:
@@ -265,20 +222,6 @@ def test_convergents_truncates_at_finite_spec(capsys):
     code, out, _ = run_cli(capsys, ["convergents", "--inline", "1 1 3", "--upto", "9"])
     assert code == 0
     assert out.splitlines()[-1].startswith("2: 7/4")
-
-
-def test_tree_goldens(capsys):
-    for argv, fixture in [
-        (["tree", "--inline", "(1)/(1)", "--depth", "2"], "tree_unit_alpha_d2.txt"),
-        (["tree", "--inline", "(1)/(0)", "--depth", "2"], "tree_moore_alpha_d2.txt"),
-        (
-            ["tree", "--inline", "(1)/(1)", "--depth", "1", "--which", "beta"],
-            "tree_unit_beta_d1.txt",
-        ),
-    ]:
-        code, out, _ = run_cli(capsys, argv)
-        assert code == 0
-        assert out == (GOLDEN / fixture).read_text()
 
 
 def test_closed_form_text(capsys):
@@ -417,6 +360,55 @@ def test_exit_2_on_rejected_parameter(capsys, argv, message):
 def test_exit_2_on_negative_places(capsys, argv, fmt):
     code, out, err = run_cli(capsys, [*argv, "--places", "-3", "--format", fmt])
     assert (code, out, err) == (2, "", "error: --places must be >= 0\n")
+
+
+ALG_SQRT2 = "alg:poly=-2,0,1;elem=0,1;lo={};hi={}"
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["expand", "rat:1/2", "--depth", "0"], 2, "--depth must be >= 1"),
+        (["period", "rat:1/2", "--depth", "0"], 2, "--depth must be >= 1"),
+        (["convergents", "--digits", "/nonexistent", "--upto", "2"], 2,
+         "cannot read digit file: "),
+        (["convergents", "--inline", "(1)/(1)", "--upto", "-1"], 2, "--upto must be >= 0"),
+        (["tree", "--inline", "(1)/(1)", "--depth", "7"], 2, "--depth must be between 0 and 6"),
+        (["closed-form", "--all-ones"], 2, "--all-ones needs --order M with M >= 1"),
+        (["closed-form", "--a", "1"], 2, "closed-form needs --a and --b (or --all-ones --order M)"),
+        (["cubic-hunt", "--value", ALG_SQRT2.format(1, 2)], 2,
+         "cubic-hunt takes a dec: or rat: value"),
+        (["expand", "alg:poly=-2,0,1;elem=0,1;lo=1;lo=2"], 2, "duplicate alg field 'lo'"),
+        (["expand", ALG_SQRT2.format(2, 2)], 4, "empty interval [2, 2]"),
+        (["convergents", "--inline", "1(2/3"], 2, "malformed cycle in '1(2'"),
+        (["expand", "dec:1.5,guard=x"], 2, "guard must be an integer, got 'x'"),
+    ],
+)
+def test_refusals_exit_with_their_code(capsys, argv, code, message):
+    got, out, err = run_cli(capsys, argv)
+    assert (got, out) == (code, "")
+    assert err.startswith(f"error: {message}") and err.endswith("\n") and err.count("\n") == 1
+
+
+def test_verbose_json_carries_meta(capsys):
+    code, out, _ = run_cli(capsys, ["expand", "rat:7/4", "--verbose", "--format", "json"])
+    assert code == 0
+    assert no_floats(out)["meta"] == {"source": "rat:7/4", "depth": "16"}
+
+
+def test_all_ones_json_carries_order(capsys):
+    argv = ["closed-form", "--all-ones", "--order", "3", "--format", "json"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert no_floats(out)["order"] == 3
+
+
+def test_decimal_period_is_apparent(capsys):
+    code, out, _ = run_cli(
+        capsys, ["expand", "dec:1.41421356237309504880,guard=2", "--depth", "12", "--period"]
+    )
+    assert code == 0
+    assert out.endswith("\n# period: apparent\n")
 
 
 def test_exit_2_on_spec_without_digits(capsys):

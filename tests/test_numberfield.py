@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import math
 import random
@@ -288,12 +289,10 @@ def test_decisions_do_not_depend_on_the_bracket_they_start_from(modulus, rows):
         runs.append((floors, exp.digits, exp.terminated_at, exp.recurrence))
         assert_bracket_isolates(field)
     assert runs[0] == runs[1]
-    # Enclosures depend on the bracket they come from, but both hold the
-    # value: each is narrow enough and they overlap within the floor's cell.
-    for n, (a, b), (c, d) in zip(runs[0][0], *intervals):
-        assert b - a <= tight and d - c <= tight
-        assert max(a, c) <= min(b, d)
-        assert n <= max(b, d) and min(a, c) < n + 1
+    # An enclosure is the dyadic cell of a floor, whatever the bracket.
+    assert intervals[0] == intervals[1]
+    for n, (a, b) in zip(runs[0][0], intervals[0]):
+        assert b - a <= tight and n <= a < b <= n + 1
 
 
 def monic(low):
@@ -350,22 +349,65 @@ def test_key_point_search_stops_at_its_window(coeffs):
     assert len(points) <= numberfield._KEY_WINDOW
 
 
-def test_floors_start_at_the_precision_the_last_floors_needed():
-    field = NumberField(IntPolynomial((-2, 0, 0, 1)), 1, 2)
-    first = expand([field.theta()], 150)
-    needed = field._floor_bits
-    assert needed > numberfield.FLOOR_BITS
-    asked = []
-    dyadic = NumberField.dyadic
+@contextlib.contextmanager
+def asked_precisions():
+    """The list of precisions asked of ``NumberField.dyadic``, in order."""
+    asked, dyadic = [], NumberField.dyadic
 
     def recorded(self, bits):
         asked.append(bits)
         return dyadic(self, bits)
 
     with mock.patch.object(NumberField, "dyadic", recorded):
-        assert expand([field.theta()], 150) == first
-        assert math.floor(field.theta() * 10**30) == 1259921049894873164767210607278
-    assert set(asked) == {needed}
+        yield asked
+
+
+def test_a_field_keeps_no_precision_between_callers():
+    # A deep expansion leaves nothing behind for the next caller: a short
+    # one asks for the precisions it asks of a fresh field, and a lone floor
+    # starts at FLOOR_BITS.
+    used = NumberField(CBRT2.modulus, 1, 2)
+    with asked_precisions() as deep:
+        expand([used.theta()], 150)
+    assert max(deep) > numberfield.FLOOR_BITS
+    with asked_precisions() as fresh:
+        short = expand([NumberField(CBRT2.modulus, 1, 2).theta()], 50)
+    with asked_precisions() as reused:
+        assert expand([used.theta()], 50) == short
+    assert reused == fresh
+    with asked_precisions() as asked:
+        assert math.floor(used.theta() * 10**30) == 1259921049894873164767210607278
+    assert asked[0] == numberfield.FLOOR_BITS
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([SQRT2, TRIB, CBRT2, QUARTIC]),
+    st.lists(st.fractions(-9, 9, max_denominator=9), min_size=4, max_size=4),
+    st.builds(Fraction, st.integers(1, 1000), st.integers(1, 10**30)),
+)
+@example(SQRT2, [0, 1, 0, 0], Fraction(1, 4))
+@example(TRIB, [3, 0, 0, 0], Fraction(3))
+def test_interval_is_the_dyadic_cell_of_a_floor(field, coords, width):
+    x = field.element(coords[: field.degree])
+    k = 0
+    while Fraction(1, 2**k) > width:
+        k += 1
+    n = math.floor(x * 2**k)
+    assert x.interval(width) == (Fraction(n, 2**k), Fraction(n + 1, 2**k))
+
+
+def test_the_sturm_chain_is_built_once_per_field():
+    # Two intervals of the cube root of 2: every cross-field operation
+    # compares the fields by a root count on the chain each already holds.
+    built, sturm_chain = [], numberfield.sturm_chain
+    with mock.patch.object(numberfield, "sturm_chain", lambda p: built.append(p) or sturm_chain(p)):
+        a = NumberField(CBRT2.modulus, 1, 2)
+        b = NumberField(CBRT2.modulus, Fraction(5, 4), Fraction(3, 2))
+        assert len(built) == 2
+        x, y = a.theta(), b.theta()
+        assert x + y == 2 * x and x * y == x**2 and x == y and a == b
+    assert len(built) == 2
 
 
 def test_zero_divisors_share_a_prime_with_the_key_modulus():

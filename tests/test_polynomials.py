@@ -86,6 +86,18 @@ def test_interval_eval_contains_point_values(coeffs, t, bits, f):
         assert lo <= scale * fraction_horner(coeffs, Fraction(x, 2**bits)) <= hi
 
 
+@given(SCALED_COEFFS, SCALED_T, st.integers(0, 80))
+def test_interval_eval_is_the_four_product_box(coeffs, t, bits):
+    # Interval Horner with all four end products, for a cell of either
+    # sign: scaled_box gives exactly this box, so no decision depends on
+    # the side of 0 the cell lies on.
+    lo = hi = coeffs[-1]
+    for shift, c in enumerate(reversed(coeffs[:-1]), 1):
+        ends = (lo * t, lo * (t + 1), hi * t, hi * (t + 1))
+        lo, hi = min(ends) + (c << bits * shift), max(ends) + (c << bits * shift)
+    assert scaled_box(coeffs, t, bits) == (lo, hi)
+
+
 # Denominators: 1 (the key point), a power of two (a dyadic point) and odd.
 DENOMINATORS = st.one_of(
     st.just(1),
