@@ -105,7 +105,7 @@ def scaled_box(coeffs: Sequence[int], t: int, bits: int) -> tuple[int, int]:
     for c in reversed(coeffs[:-1]):
         shift += bits
         c <<= shift
-        a, b = lo * t, hi * t  # X >= 0: X = t + 1 adds the end itself
+        a, b = lo * t, hi * t  # t >= 0: at t + 1 each product gains lo or hi
         lo, hi = (a if lo >= 0 else a + lo) + c, (b + hi if hi >= 0 else b) + c
     return lo, hi
 
