@@ -96,6 +96,7 @@ class NumberField:
         self.modulus = modulus
         self.root_interval = (lo, hi)
         self._chain = chain
+        self._same = {}  # another field's root interval -> whether it holds this root
         self.bracket = (lo, hi, sign_lo)  # tightest known; sign of modulus at lo
         self._dmodulus = tuple(k * c for k, c in enumerate(modulus.coeffs))[1:]
         self._cell = (None, 0, 0)  # (bracket, bits, t): the last answer of dyadic
@@ -297,9 +298,11 @@ class NumberField:
             return True
         # Two isolating intervals name one root iff their intersection
         # holds a root.
-        lo = max(self.root_interval[0], other.root_interval[0])
-        hi = min(self.root_interval[1], other.root_interval[1])
-        return lo < hi and root_count(self._chain, lo, hi) >= 1
+        if other.root_interval not in self._same:
+            lo = max(self.root_interval[0], other.root_interval[0])
+            hi = min(self.root_interval[1], other.root_interval[1])
+            self._same[other.root_interval] = lo < hi and root_count(self._chain, lo, hi) >= 1
+        return self._same[other.root_interval]
 
     def __hash__(self) -> int:
         return hash(self.modulus.coeffs)

@@ -15,16 +15,16 @@ point (v_0 : v_1 : ... : v_m), v = D * (1, x_1, ..., x_m), and a step is the
 homogeneous Jacobi-Perron step: a_k = floor(v_k / v_0), then
 (v_0, ..., v_m) <- (v_m - a_m v_0, v_0, v_1 - a_1 v_0, ..., v_(m-1) - a_(m-1) v_0).
 ``_start``, the only code that reads value types, turns a tuple into rows
-and hands ``expand`` and ``expand_step`` a run: ``run(rows, i, limit)``
-takes up to ``limit`` steps from step i and returns their digit tuples and
-the rows after them.  A run stops early at termination or just before a
-step it cannot certify, which it then takes as the generic step above, so
-that step alone refuses.  The backends differ only in what a row is, how
-its floor is certified, and how many steps a run takes:
+and hands ``expand`` and ``expand_step`` its backend's run:
+``run(rows, i, limit)`` takes up to ``limit`` steps from step i and returns
+their digit tuples, the rows after them and the recurrence it proved, or
+None.  A run stops early at termination or at a recurrence; a step it
+cannot certify raises that step's typed refusal.  The backends differ only
+in what a row is, how its floor is certified, and how a run loops:
 
 - a rational row is one integer, D the common denominator; its floor is
-  integer division.  Order 1 is Euclid's algorithm, and its run is a bare
-  ``divmod`` loop to termination; higher orders run one step at a time;
+  integer division.  Order 1 is Euclid's algorithm, a bare ``divmod`` loop
+  to termination;
 - a number-field row is a vector of integer power-basis coordinates; the
   field encloses its value on a dyadic bracket of theta, at a precision the
   run carries from step to step (``NumberField.ratio_floors``);
@@ -41,22 +41,22 @@ The step is unimodular, so rows of content 1 keep content 1: scaling the
 inputs once by their least common denominator is the only division.
 
 The dynamics are deterministic, so once a number-field state equals an
-earlier one the digits between them repeat forever.  A field run is one
-step, so ``expand`` sees every state; it stops at the first repeat
-and copies that cycle out to the requested depth.  It looks rows up by
-their image at the field's integer key point, a tuple of integers modulo M
+earlier one the digits between them repeat forever.  The field run keys
+every state it passes and stops at the first repeat; ``expand`` copies that
+cycle out to the requested depth.  A state is looked up by its image at the
+field's integer key point, a tuple of integers modulo M
 (``NumberField.ratio_key``), and a key hit is confirmed exactly; the rare
 state whose v_0 has no image to divide by is compared with every other.
-Rational tuples terminate (their common denominator falls at every step),
-so only field states are looked up.  An exact expansion keeps its first
-rows and rebuilds its states only when they are read.
+Rational tuples terminate (their common denominator falls at every step)
+and a box has no exact states, so only field runs look states up.  An
+exact expansion keeps its first rows and rebuilds its states when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import cycle, islice
 from typing import Sequence
 
@@ -68,7 +68,7 @@ from .errors import AmbiguousFloor, MixedFields, NegativeInput
 @dataclass(frozen=True)
 class ExpansionState:
     """The value tuple entering step ``step``, as ``expand_step`` takes and
-    returns it.  ``expand`` finds recurrences by row keys, not values.
+    returns it.  A field run finds recurrences by row keys, not values.
 
     ``rows``, not compared, holds the integer rows after ``step`` steps or
     None; a guarded state keeps its input box as ``values``, its forms as rows.
@@ -130,7 +130,7 @@ def expand_step(state: ExpansionState) -> tuple[tuple[int, ...], ExpansionState 
     state (None on exact termination).  The state carries its rows along;
     an exact one also comes out as values, which costs one inverse."""
     rows, field, run = _start(state.values, state.rows)
-    (digits,), rows = run(rows, state.step, 1)
+    (digits,), rows, _ = run(rows, state.step, 1)
     if not any(rows[0]):
         return digits, None
     values = state.values if run is _box_run else _values(rows, field)
@@ -157,7 +157,7 @@ def _forms_step(forms, step: int):
     """Step the integer forms of a guarded box; refuse unless the whole box
     floors alike and no point of it terminates."""
     v0, *vs = forms
-    digits, _ = _rational_floors(v0, vs)  # the floors at the all-low corner
+    digits = tuple(v[0] // v0[0] for v in vs)  # the floors at the all-low corner
     nxt = _row_step(forms, digits)
     for k, (v, rest) in enumerate(zip(vs, (*nxt[2:], nxt[0])), 1):
         if _least(rest) < 0 or _least([c0 - c for c, c0 in zip(rest, v0)]) <= 0:
@@ -181,10 +181,12 @@ def _forms_step(forms, step: int):
 
 
 def _box_run(forms, step: int, limit: int):
-    """Up to ``limit`` steps of a box's forms.  An order-1 box runs Euclid on
-    its corners (v_0(0), v_1(0)) and (v_0(1), v_1(1)) in lockstep while both
-    give one quotient a >= 0 and neither remainder is 0, which is when
-    ``_forms_step`` certifies a; any other step is ``_forms_step``."""
+    """``limit`` steps of a box's forms from step ``step``, or the refusal of
+    the first it cannot certify.  An order-1 box runs Euclid on its corners
+    (v_0(0), v_1(0)) and (v_0(1), v_1(1)) in lockstep while both give one
+    quotient a >= 0 and neither remainder is 0, which is when ``_forms_step``
+    certifies a, so where they stall ``_forms_step`` refuses; every step of a
+    higher order is ``_forms_step``."""
     out = []
     if len(forms) == 2:
         (q, dq), (p, dp) = forms
@@ -197,10 +199,56 @@ def _box_run(forms, step: int, limit: int):
             out.append((a,))
             p, q, p1, q1 = q, r, q1, r1
         forms = ((q, q1 - q), (p, p1 - p))
-    if not out:
-        digits, forms = _forms_step(forms, step)
+    while len(out) < limit:
+        digits, forms = _forms_step(forms, step + len(out))
         out.append(digits)
-    return out, forms
+    return out, forms, None
+
+
+def _rational_run(rows, step: int, limit: int):
+    """Up to ``limit`` steps of rational rows, each one integer, from step
+    ``step``, to termination; order 1 with v_1 >= 0 is ``_euclid``."""
+    if len(rows) == 2 and rows[1][0] >= 0:
+        return (*_euclid(rows, limit), None)
+    out = []
+    for i in range(step, step + limit):
+        digits = tuple(v[0] // rows[0][0] for v in rows[1:])
+        _check_nonnegative(digits, i)
+        out.append(digits)
+        rows = _row_step(rows, digits)
+        if not any(rows[0]):
+            break
+    return out, rows, None
+
+
+def _field_run(field: NumberField, rows, step: int, limit: int):
+    """Up to ``limit`` steps of field rows from step ``step``, to termination
+    or to the first state equal to an earlier one, whose witness (j, i) it
+    returns.  It keys every state it reaches (``NumberField.ratio_key``),
+    which proves each v_0 a unit or raises ``ReducibleModulus``."""
+    bits = FLOOR_BITS  # each step floors at the precision its last one needed
+    seen: dict[tuple, list[int]] = {}  # key -> the steps holding it
+    unkeyed: list[int] = []  # the steps whose state has no key
+    held: dict[int, tuple] = {}  # step -> the rows of its state
+    out = []
+    key = field.ratio_key(rows)
+    for i in range(step, step + limit):
+        # Equal states share a key unless one has none, and a hit is confirmed
+        # exactly; at most one earlier state can match, so the order is free.
+        hits = held if key is None else [*seen.get(key, ()), *unkeyed]
+        j = next((j for j in hits if field.same_point(held[j], rows)), None)
+        if j is not None:
+            return out, rows, (j, i)
+        (unkeyed if key is None else seen.setdefault(key, [])).append(i)
+        held[i] = rows
+        digits, bits = field.ratio_floors(rows[0], rows[1:], bits)
+        _check_nonnegative(digits, i)
+        out.append(digits)
+        rows = _row_step(rows, digits)
+        if not any(rows[0]):
+            break
+        key = field.ratio_key(rows)
+    return out, rows, None
 
 
 def _euclid(rows, limit: int):
@@ -255,50 +303,21 @@ def _check_nonnegative(digits: tuple[int, ...], step: int):
 
 
 def expand(values: Sequence[RealValue | int], max_depth: int) -> Expansion:
-    """Run the rows of ``values`` up to ``max_depth`` digit tuples, to
-    termination or to the first exact state recurrence, whose cycle fills
-    the rest."""
+    """One run of the rows of ``values`` for up to ``max_depth`` digit
+    tuples, to termination or to the first exact state recurrence, whose
+    cycle fills the rest."""
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
     rows, field, run = _start(values)
     start = None if run is _box_run else (rows, field)  # a box has no exact states
-    seen: dict[tuple, list[int]] = {}  # field inputs: key -> the steps holding it
-    unkeyed: list[int] = []  # field inputs: the steps whose state has no key
-    held: list[tuple] = []  # field inputs: the rows of every state
-    key = field.ratio_key(rows) if field is not None else None
-
-    out: list[tuple[int, ...]] = []
-    terminated_at: int | None = None
-    recurrence: tuple[int, int] | None = None
-    i = 0
-    while i < max_depth:
-        if field is not None:
-            # Equal states share a key unless one has none; a hit is confirmed
-            # exactly.  At most one earlier state can match, so the order in
-            # which they are tried does not matter.
-            hits = range(i) if key is None else [*seen.get(key, ()), *unkeyed]
-            j = next((j for j in hits if field.same_point(held[j], rows)), None)
-            if j is not None:
-                recurrence = (j, i)
-                break
-            (unkeyed if key is None else seen.setdefault(key, [])).append(i)
-            held.append(rows)
-        run_digits, rows = run(rows, i, max_depth - i)
-        if field is not None and any(rows[0]):
-            # Proves the new v_0 a unit, or raises ReducibleModulus.
-            key = field.ratio_key(rows)
-        for j, digits in enumerate(run_digits, i):
-            if digits[0] < 1 and j >= 1:
-                raise AssertionError(
-                    f"first-sequence digit {digits[0]} < 1 at step {j}; "
-                    "expansion invariant broken"
-                )
-        out += run_digits
-        i += len(run_digits)
-        if not any(rows[0]):
-            terminated_at = i - 1
-            break
-
+    out, rows, recurrence = run(rows, 0, max_depth)
+    for j, digits in enumerate(out[1:], 1):
+        if digits[0] < 1:
+            raise AssertionError(
+                f"first-sequence digit {digits[0]} < 1 at step {j}; "
+                "expansion invariant broken"
+            )
+    terminated_at = None if any(rows[0]) else len(out) - 1
     if recurrence is not None:
         out += islice(cycle(out[recurrence[0] :]), max_depth - len(out))
     return Expansion(len(rows) - 1, tuple(zip(*out)), terminated_at, recurrence, start)
@@ -309,9 +328,8 @@ def _start(values, rows=None):
     types.  Ints count as rationals; an empty tuple, a non-value or mixed
     backends or fields are refused.  ``rows`` are the integer rows (those
     given, once a state carries them), ``field`` is None but for field
-    elements, and ``run(rows, i, limit)`` gives the digit tuples of 1 to
-    ``limit`` steps from step i and the rows after them.  Only order-1
-    rationals and boxes run more than one step per call."""
+    elements, and ``run(rows, i, limit)`` is the backend's run from step i:
+    (digit tuples, the rows after them, recurrence or None)."""
     vals = tuple(Fraction(v) if isinstance(v, int) else v for v in values)
     if not vals:
         raise ValueError("at least one value required")
@@ -335,25 +353,6 @@ def _start(values, rows=None):
     if kind == "guarded":
         return rows or _box_forms(vals), None, _box_run
     if kind == "rational":
-        field, floors, coords = None, _rational_floors, [(x,) for x in vals]
-    else:
-        field = kind[1]
-        floors, coords = field.ratio_floors, [x.coords for x in vals]
-
-    euclid = kind == "rational" and len(vals) == 1
-    bits = FLOOR_BITS  # a field floors at the precision its last step needed
-
-    def run(rows, i, limit):
-        nonlocal bits
-        if euclid and rows[1][0] >= 0:
-            return _euclid(rows, limit)
-        digits, bits = floors(rows[0], rows[1:], bits)
-        _check_nonnegative(digits, i)
-        return [digits], _row_step(rows, digits)
-
-    return rows or integer_rows(coords), field, run
-
-
-def _rational_floors(den, nums, bits=None) -> tuple[tuple[int, ...], int | None]:
-    """floor(v_k / v_0) of rational rows, each one integer; bits pass through."""
-    return tuple(v[0] // den[0] for v in nums), bits
+        return rows or integer_rows([(x,) for x in vals]), None, _rational_run
+    field = kind[1]
+    return rows or integer_rows([x.coords for x in vals]), field, partial(_field_run, field)

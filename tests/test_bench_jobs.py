@@ -1,4 +1,6 @@
-"""The benchmark records each decimal job's certified depth with
+"""Every benchmark job's output passes the benchmark's own checks against
+its ``bench/reference.json`` entry, not only the jobs a short run reaches.
+The benchmark records each decimal job's certified depth with
 ``bench/jobs.py::certified_depth``, which steps ``expand_step`` by hand;
 it must agree with what ``expand`` certifies.  Its field moduli each find a
 prime key modulus M within the key point's search window."""
@@ -22,14 +24,24 @@ try:
     inputs, jobs = importlib.import_module("inputs"), importlib.import_module("jobs")
 finally:
     sys.path.remove(str(BENCH))
-DEC_JOBS = {
-    j.key: j for p in inputs.POOLS["decimal-expand"]().values() for j in p if j.kind == "dec"
-}
+ALL_JOBS = {(w, j.key): j for w in inputs.WORKLOADS for p in inputs.POOLS[w]().values() for j in p}
+DEC_JOBS = {key: j for (w, key), j in ALL_JOBS.items() if j.kind == "dec"}
 
 
 @pytest.fixture(scope="module")
-def reference():
-    return json.loads((BENCH / "reference.json").read_text())["decimal-expand"]
+def references():
+    return json.loads((BENCH / "reference.json").read_text())
+
+
+@pytest.fixture(scope="module")
+def reference(references):
+    return references["decimal-expand"]
+
+
+@pytest.mark.parametrize("workload, key", sorted(ALL_JOBS))
+def test_bench_job_output_checks_out(references, workload, key):
+    job, ref = ALL_JOBS[workload, key], references[workload][key]
+    assert jobs.check(job, jobs.run(job, ref), ref) is None
 
 
 @pytest.mark.parametrize("key", sorted(DEC_JOBS))

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import time
 from collections import Counter
 from fractions import Fraction
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from bcf.arith import GuardedDecimal, IntPolynomial, NumberField, numberfield
 from bcf.closedform import allones_poly
 from bcf import expansion
-from bcf.errors import AmbiguousFloor, MixedFields, NegativeInput
+from bcf.errors import AmbiguousFloor, MixedFields, NegativeInput, ReducibleModulus
 from bcf.expansion import ExpansionState, expand, expand_step
 from bcf.expansion import _row_step as row_step
 
@@ -21,6 +22,9 @@ MOORE = NumberField(IntPolynomial((-1, 0, -1, 1)), 1, 2)
 GOLDEN = NumberField(IntPolynomial((-1, -1, 1)), 1, 2)
 QUARTIC = NumberField(IntPolynomial((-2, 0, 0, 0, 1)), 1, 2)
 CBRT2 = NumberField(IntPolynomial((-2, 0, 0, 1)), 1, 2)
+CBRT4 = NumberField(IntPolynomial((-4, 0, 0, 1)), 1, 2)
+SPLIT = NumberField(IntPolynomial((6, -2, -3, 1)), 1, 2)  # (x - 3)(x^2 - 2), theta = sqrt 2
+X2_MINUS_1 = NumberField(IntPolynomial((-1, 0, 1)), Fraction(1, 2), Fraction(3, 2))
 
 
 def classic_cf(p: int, q: int) -> list[int]:
@@ -452,6 +456,54 @@ def test_a_box_builds_its_forms_once(monkeypatch):
         digits, state = expand_step(state)
         assert digits == (1, 1, 1)
     assert len(built) == 1
+
+
+RUNS = {
+    "rational, order 1": ([Fraction(355, 113)], 50),
+    "rational, order 2": ([Fraction(17, 5), Fraction(9, 7)], 50),
+    "field, order 1, periodic": ([GOLDEN.theta()], 40),
+    "field, order 1": ([CBRT2.theta()], 40),
+    "field, order 2, periodic": ([CBRT2.theta(), CBRT2.theta() ** 2], 40),
+    "field, order 2": ([CBRT4.theta(), CBRT4.theta() ** 2], 40),
+    "box, order 1": ([GuardedDecimal.from_literal("1.8392867552141611", 2)], 9),
+    "box, order 2": (allones_box(2), 10),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RUNS))
+def test_expand_takes_one_run(monkeypatch, case):
+    # Each backend's run owns its loop, and a field run looks its own states
+    # up, so expand calls the run once and only assembles what it returns.
+    values, depth = RUNS[case]
+    want = expand(values, depth)
+    assert (want.recurrence is not None) == case.endswith("periodic")
+    calls, start = [], expansion._start
+
+    def counted_start(*args):
+        rows, field, run = start(*args)
+        return rows, field, lambda *a: calls.append(a[1:]) or run(*a)
+
+    monkeypatch.setattr(expansion, "_start", counted_start)
+    got = expand(values, depth)
+    assert calls == [(0, depth)]
+    assert (got.digits, got.terminated_at, got.recurrence) == (
+        want.digits, want.terminated_at, want.recurrence
+    )
+
+
+@pytest.mark.parametrize(
+    "values, depth, message",
+    [
+        *(([SPLIT.theta() ** 2], d, "x^3 - 3*x^2 - 2*x + 6 has factor x^2 - 2") for d in (1, 2, 3)),
+        ([X2_MINUS_1.theta()], 1, "x^2 - 1 has factor x - 1"),
+    ],
+)
+def test_a_zero_divisor_state_refuses_at_any_depth(values, depth, message):
+    # The floor is exactly an integer, so the state after step 0 has a v_0 of
+    # value 0 that is not the zero residue.  The run keys the state after its
+    # last step too, so even a run of one step refuses.
+    with pytest.raises(ReducibleModulus, match=f"^modulus {re.escape(message)}$"):
+        expand(values, depth)
 
 
 @settings(max_examples=150, deadline=None)

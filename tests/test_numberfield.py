@@ -410,6 +410,25 @@ def test_the_sturm_chain_is_built_once_per_field():
     assert len(built) == 2
 
 
+def test_a_field_counts_roots_once_per_other_interval():
+    # Cross-field arithmetic compares the fields at every operation; each
+    # field keeps its verdict per other root interval, the same or not.
+    counted, root_count = [], numberfield.root_count
+    a = NumberField(CBRT2.modulus, 1, 2)
+    b = NumberField(CBRT2.modulus, Fraction(5, 4), Fraction(3, 2))
+    plus = NumberField(SQRT2.modulus, 1, 2)
+    minus = NumberField(SQRT2.modulus, -2, Fraction(6, 5))  # -sqrt 2; meets (1, 2)
+    with mock.patch.object(numberfield, "root_count", lambda *r: counted.append(r) or root_count(*r)):
+        x, y = a.theta(), b.theta()
+        for _ in range(10):
+            assert x + y == 2 * x and x * y == x**2 and x == y
+        assert len(counted) == 1
+        for _ in range(3):
+            with pytest.raises(MixedFields):
+                minus.theta() + plus.theta()
+    assert len(counted) == 2
+
+
 def test_zero_divisors_share_a_prime_with_the_key_modulus():
     # (x - 3)(x^2 - 2) on (1, 2), theta = sqrt 2: x^2 - 2 vanishes at theta
     # and x - 3 does not, but both are zero divisors, so the screen prime to
