@@ -24,8 +24,10 @@ try:
     inputs, jobs = importlib.import_module("inputs"), importlib.import_module("jobs")
 finally:
     sys.path.remove(str(BENCH))
-ALL_JOBS = {(w, j.key): j for w in inputs.WORKLOADS for p in inputs.POOLS[w]().values() for j in p}
-DEC_JOBS = {key: j for (w, key), j in ALL_JOBS.items() if j.kind == "dec"}
+ALL_JOBS = {
+    (w, j.key): j for w in inputs.WORKLOADS for p in inputs.POOLS[w]().values() for j in p
+}
+DEC_JOBS = {key: j for (_, key), j in ALL_JOBS.items() if j.kind == "dec"}
 
 
 @pytest.fixture(scope="module")

@@ -493,16 +493,14 @@ def test_expand_takes_one_run(monkeypatch, case):
 
 @pytest.mark.parametrize(
     "values, depth, message",
-    [
-        *(([SPLIT.theta() ** 2], d, "x^3 - 3*x^2 - 2*x + 6 has factor x^2 - 2") for d in (1, 2, 3)),
-        ([X2_MINUS_1.theta()], 1, "x^2 - 1 has factor x - 1"),
-    ],
+    [([SPLIT.theta() ** 2], d, "modulus x^3 - 3*x^2 - 2*x + 6 has factor x^2 - 2") for d in (1, 2, 3)]
+    + [([X2_MINUS_1.theta()], 1, "modulus x^2 - 1 has factor x - 1")],
 )
 def test_a_zero_divisor_state_refuses_at_any_depth(values, depth, message):
     # The floor is exactly an integer, so the state after step 0 has a v_0 of
     # value 0 that is not the zero residue.  The run keys the state after its
     # last step too, so even a run of one step refuses.
-    with pytest.raises(ReducibleModulus, match=f"^modulus {re.escape(message)}$"):
+    with pytest.raises(ReducibleModulus, match=f"^{re.escape(message)}$"):
         expand(values, depth)
 
 
