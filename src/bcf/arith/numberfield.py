@@ -174,37 +174,40 @@ class NumberField:
         self.bracket = (max(lo, cell[0]), min(hi, cell[1]), s_lo)
         return t
 
-    def ratio_floors(self, den, nums, bits: int = FLOOR_BITS) -> tuple[tuple[int, ...], int]:
+    def ratio_floors(
+        self, den, nums, bits: int = FLOOR_BITS
+    ) -> tuple[tuple[int, ...], int, tuple[tuple[int, int], ...]]:
         """The floor of num(theta) / den(theta) for each num (integer
-        coordinate vectors, den(theta) > 0) and the precision that decided.
+        coordinate vectors, den(theta) > 0), the precision that decided and
+        the enclosures that decided: integers [lo, hi] holding the values of
+        den and of each num at theta, all on one scale (``scaled_box``).
 
         Each vector is enclosed on the dyadic cell of theta at ``bits``,
         doubled until every floor is certain.  A ratio that straddles one
         integer c is c exactly when num - c*den vanishes at theta."""
         while True:
             t = self.dyadic(bits)
-            lo0, hi0 = scaled_box(den, t, bits)
+            boxes = [scaled_box(den, t, bits)]
             floors: list[int] = []
-            if lo0 > 0:
+            if boxes[0][0] > 0:
                 for num in nums:
-                    lo, hi = scaled_box(num, t, bits)
-                    a = lo // (hi0 if lo >= 0 else lo0)
-                    b = hi // (lo0 if hi >= 0 else hi0)
+                    boxes.append(scaled_box(num, t, bits))
+                    a, b = end_floors(boxes[0], boxes[-1])
                     if a != b and not (
                         b == a + 1 and self._vanishes([n - b * e for n, e in zip(num, den)])
                     ):
                         break
                     floors.append(b)
                 else:
-                    return tuple(floors), bits
+                    return tuple(floors), bits, tuple(boxes)
             bits *= 2
 
     def _vanishes(self, coords) -> bool:
         """Whether an integer residue is zero at theta.  One prime to M at the
         key point is nonzero there (see ``ratio_key``), so only the others
         need the exact test."""
-        m, powers = self._key_powers
-        if gcd(sum(c * q for c, q in zip(coords, powers)), m) == 1:
+        m, (w,) = self.key_images([coords])
+        if gcd(w, m) == 1:
             return False
         # Zero at theta iff theta is a common root of the residue and the
         # modulus, i.e. their gcd changes sign across the isolating bracket
@@ -220,12 +223,21 @@ class NumberField:
         n, m, _ = _key_point(self.modulus.coeffs)
         return m, tuple(pow(n, i, m) for i in range(self.degree))
 
-    def ratio_key(self, rows) -> tuple | None:
+    def key_images(self, rows) -> tuple[int, tuple[int, ...]]:
+        """(M, the images w_k = v_k(n) mod M of integer residues v_k at the
+        key point n).  theta -> n is a ring map, so rows stepped by integers
+        have images stepped by the same integers mod M."""
+        m, powers = self._key_powers
+        return m, tuple(sum(c * q for c, q in zip(v, powers)) % m for v in rows)
+
+    def ratio_key(self, rows, images=None) -> tuple | None:
         """A hashable key of the point (v_0 : v_1 : ... : v_m) of integer
         residues, or None when v_0 has no image to divide by: the values
         w_k = v_k(n) mod M at the key point and (w_1/w_0, ..., w_m/w_0) mod M.
-        Equal points share a key; different points may too.  A residue v_0
-        with no key is still proven a unit, or ``ReducibleModulus`` raised.
+        ``images`` are the rows' ``key_images`` when the caller has them; the
+        rows are read only when w_0 shares a prime with M.  Equal points
+        share a key; different points may too.  A residue v_0 with no key is
+        still proven a unit, or ``ReducibleModulus`` raised.
 
         Why a w_0 prime to M proves v_0 a unit: M divides p(n), so theta -> n
         is a ring map Z[theta] -> Z/M, and cross-multiplying a_k b_0 = b_k a_0
@@ -236,14 +248,13 @@ class NumberField:
         n - H - 1 > S, so g(n) does not divide S, the part of p(n) made of
         primes below 100, and shares a prime with M, which is then a factor
         of w_0 as well."""
-        m, powers = self._key_powers
-        w0, *ws = (sum(c * q for c, q in zip(v, powers)) for v in rows)
+        m, images = self.key_images(rows) if images is None else (self._key_powers[0], images)
         try:
-            inv = pow(w0, -1, m)
+            inv = pow(images[0], -1, m)
         except ValueError:  # w_0 shares a prime with M
             self._unit_inverse(rows[0])
             return None
-        return tuple(w * inv % m for w in ws)
+        return tuple([w * inv % m for w in images[1:]])
 
     def same_point(self, a, b) -> bool:
         """Whether integer rows a and b, each with a unit v_0, name the same
@@ -444,6 +455,13 @@ class FieldElement:
         return self.field.ratio_floors(den, [num])[0][0]
 
     __floor__ = floor
+
+
+def end_floors(den_box, num_box) -> tuple[int, int]:
+    """The floors of num/den at the two ends of the enclosures [lo, hi] of
+    num and den on one scale, den's lo > 0; the ratio's floor when equal."""
+    (lo0, hi0), (lo, hi) = den_box, num_box
+    return lo // (hi0 if lo >= 0 else lo0), hi // (lo0 if hi >= 0 else hi0)
 
 
 def integer_rows(vectors) -> tuple[tuple[int, ...], ...]:

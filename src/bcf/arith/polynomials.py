@@ -132,18 +132,30 @@ def bisect_once(
 
 
 def sturm_chain(poly: IntPolynomial) -> list[tuple[int, ...]]:
-    """Sturm sequence p, p', -rem(p, p'), ... of a non-constant ``poly``,
-    each remainder scaled to integers by the positive lcm of its
-    denominators, which keeps every sign.
+    """Sturm sequence p, p', -rem(p, p'), ... of a non-constant ``poly`` on
+    integers: each remainder is the pseudo-remainder of |lead|^k times the
+    dividend, k its degree drop plus one, divided by its content.  Each
+    element is thus a positive multiple of the rational chain's, which keeps
+    every sign.
 
     It stops at the last nonzero remainder, which is gcd(p, p') up to a
     rational unit: of positive degree exactly when p has a repeated factor.
     """
     chain = [poly.coeffs, tuple(k * c for k, c in enumerate(poly.coeffs))[1:]]
-    while rem := qp_divmod(chain[-2], chain[-1])[1]:
-        d = lcm(*(c.denominator for c in rem))
-        chain.append(tuple(int(-c * d) for c in rem))
-    return chain
+    while True:
+        rem, b = list(chain[-2]), chain[-1]
+        db, lead = len(b) - 1, abs(b[-1])
+        sign = 1 if b[-1] > 0 else -1
+        for shift in reversed(range(len(rem) - db)):
+            factor = sign * rem[shift + db]  # lead * factor == |lead| * rem[shift + db]
+            rem = [c * lead for c in rem]
+            for j, c in enumerate(b):
+                rem[shift + j] -= factor * c
+        rem = qp_trim(rem[:db])
+        if not rem:
+            return chain
+        content = gcd(*rem)
+        chain.append(tuple(-c // content for c in rem))
 
 
 def root_count(chain: Sequence[Sequence[int]], lo: Fraction, hi: Fraction) -> int:
@@ -159,7 +171,7 @@ def root_count(chain: Sequence[Sequence[int]], lo: Fraction, hi: Fraction) -> in
 
 # Rational-coefficient polynomial helpers (ascending tuples of Fractions).
 # These back the number-field arithmetic; they are not a public surface.
-# qp_mul, qp_divmod by a monic divisor and qp_trim keep integer
+# qp_mul, qp_sub, qp_divmod by a monic divisor and qp_trim keep integer
 # coefficients integers; any other divisor makes them Fractions.
 
 def qp_trim(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -182,8 +194,7 @@ def qp_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]
 
 
 def qp_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
+    out = [0] * max(len(a), len(b))  # stays in the coefficients' own type
     for i, ai in enumerate(a):
         out[i] += ai
     for i, bi in enumerate(b):
@@ -200,7 +211,7 @@ def qp_divmod(a: Sequence[Fraction], b: Sequence[Fraction]):
     lead = Fraction(b[-1])
     # Only the nonzero terms below the lead act; a monic divisor divides nothing.
     terms = [(j, c) for j, c in enumerate(b[:-1]) if c]
-    quo = [Fraction(0)] * max(len(rem) - db, 0)
+    quo = [0] * max(len(rem) - db, 0)
     for shift in reversed(range(len(quo))):
         factor = rem[shift + db] if lead == 1 else rem[shift + db] / lead
         quo[shift] = factor

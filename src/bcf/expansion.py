@@ -61,7 +61,7 @@ from itertools import cycle, islice
 from typing import Sequence
 
 from .arith import FieldElement, GuardedDecimal, NumberField, RealValue
-from .arith.numberfield import FLOOR_BITS, integer_rows
+from .arith.numberfield import FLOOR_BITS, end_floors, integer_rows
 from .errors import AmbiguousFloor, MixedFields, NegativeInput
 
 
@@ -140,7 +140,7 @@ def expand_step(state: ExpansionState) -> tuple[tuple[int, ...], ExpansionState 
 def _row_step(rows, digits):
     """The row step (v_m - a_m v_0, v_0, v_1 - a_1 v_0, ..., v_(m-1) - a_(m-1) v_0)."""
     v0 = rows[0]
-    rests = [tuple(c - a * c0 for c, c0 in zip(v, v0)) for v, a in zip(rows[1:], digits)]
+    rests = [tuple([c - a * c0 for c, c0 in zip(v, v0)]) for v, a in zip(rows[1:], digits)]
     return (rests[-1], v0, *rests[:-1])
 
 
@@ -225,30 +225,60 @@ def _field_run(field: NumberField, rows, step: int, limit: int):
     """Up to ``limit`` steps of field rows from step ``step``, to termination
     or to the first state equal to an earlier one, whose witness (j, i) it
     returns.  It keys every state it reaches (``NumberField.ratio_key``),
-    which proves each v_0 a unit or raises ``ReducibleModulus``."""
-    bits = FLOOR_BITS  # each step floors at the precision its last one needed
+    which proves each v_0 a unit or raises ``ReducibleModulus``.
+
+    Beside the exact rows it steps two images of them by the same digits:
+    their key images mod M, and enclosures [lo, hi] of their values at
+    theta, as v_k - a*v_0 lies in [lo_k - a*hi_0, hi_k - a*lo_0] for a >= 0.
+    A step floors on the stepped enclosures while they decide, and encloses
+    the rows afresh (``NumberField.ratio_floors``) only when they do not."""
+    bits = FLOOR_BITS  # each enclosure is made at the precision the last one needed
+    boxes = None  # the enclosures of the rows, once made
+    m, images = field.key_images(rows)
     seen: dict[tuple, list[int]] = {}  # key -> the steps holding it
     unkeyed: list[int] = []  # the steps whose state has no key
     held: dict[int, tuple] = {}  # step -> the rows of its state
     out = []
-    key = field.ratio_key(rows)
+    key = field.ratio_key(rows, images)
     for i in range(step, step + limit):
         # Equal states share a key unless one has none, and a hit is confirmed
         # exactly; at most one earlier state can match, so the order is free.
-        hits = held if key is None else [*seen.get(key, ()), *unkeyed]
-        j = next((j for j in hits if field.same_point(held[j], rows)), None)
-        if j is not None:
-            return out, rows, (j, i)
+        for j in held if key is None else seen.get(key, []) + unkeyed:
+            if field.same_point(held[j], rows):
+                return out, rows, (j, i)
         (unkeyed if key is None else seen.setdefault(key, [])).append(i)
         held[i] = rows
-        digits, bits = field.ratio_floors(rows[0], rows[1:], bits)
+        digits = boxes and _box_floors(boxes)
+        if digits is None:
+            digits, bits, boxes = field.ratio_floors(rows[0], rows[1:], bits)
         _check_nonnegative(digits, i)
         out.append(digits)
         rows = _row_step(rows, digits)
         if not any(rows[0]):
             break
-        key = field.ratio_key(rows)
+        w0, *ws = images
+        ws = [(w - a * w0) % m for w, a in zip(ws, digits)]
+        images = (ws[-1], w0, *ws[:-1])
+        (lo0, hi0), *ends = boxes
+        ends = [(lo - a * hi0, hi - a * lo0) for (lo, hi), a in zip(ends, digits)]
+        boxes = (ends[-1], boxes[0], *ends[:-1])
+        key = field.ratio_key(rows, images)
     return out, rows, None
+
+
+def _box_floors(boxes) -> tuple[int, ...] | None:
+    """The floors of v_k/v_0 from enclosures of the rows on one scale, or
+    None unless v_0's is positive and both ends of every ratio floor alike."""
+    den, *nums = boxes
+    if den[0] <= 0:
+        return None
+    floors = []
+    for num in nums:
+        a, b = end_floors(den, num)
+        if a != b:
+            return None
+        floors.append(a)
+    return tuple(floors)
 
 
 def _euclid(rows, limit: int):

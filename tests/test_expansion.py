@@ -119,6 +119,45 @@ def test_irreducible_field_rows_need_no_exact_inverse(monkeypatch):
     assert calls["inverse"] == 5
 
 
+def iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) by integer Newton from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_deep_root_matches_the_classical_cf_of_a_dyadic_bracket(k):
+    # 2^(1/k) lies in [t, t + 1] / 2^bits, and every number between two
+    # rationals shares the prefix their continued fractions share.
+    bits = 8000
+    t = iroot(2 << (k * bits), k)
+    lo, hi = classic_cf(t, 1 << bits), classic_cf(t + 1, 1 << bits)
+    shared = next(i for i, (a, b) in enumerate(zip(lo, hi)) if a != b)
+    assert shared > 2000
+    field = NumberField(IntPolynomial((-2, *[0] * (k - 1), 1)), 1, 2)
+    assert expand([field.theta()], 2000).digits == (tuple(lo[:2000]),)
+
+
+def test_a_deep_run_encloses_about_once_per_precision(monkeypatch):
+    # The run steps its enclosures with its digits and encloses afresh only
+    # when they stop deciding, about twice per doubling of the precision.
+    calls = Counter()
+
+    def counted(*args):
+        calls["scaled_box"] += 1
+        return scaled_box(*args)
+
+    scaled_box = numberfield.scaled_box
+    monkeypatch.setattr(numberfield, "scaled_box", counted)
+    field = NumberField(IntPolynomial((-2, 0, 0, 1)), 1, 2)
+    assert len(expand([field.theta()], 1000)) == 1000
+    assert calls["scaled_box"] <= 40
+
+
 def test_moore_pair_digits():
     th = MOORE.theta()
     beta = th.inverse()  # b = 0: beta = 0 + 1/alpha

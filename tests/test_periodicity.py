@@ -282,6 +282,7 @@ NEG_SQRT2 = NumberField(IntPolynomial((-2, 0, 1)), -2, -1)  # theta = -sqrt(2)
 NEG_GOLDEN = NumberField(IntPolynomial((-1, -1, 1)), -1, Fraction(1, 2))  # theta < 0 < hi
 GOLDEN_CONJ = NumberField(IntPolynomial((-1, 1, 1)), -1, 1)  # lo < 0 < theta
 CUBIC_ZERO = NumberField(IntPolynomial((-1, 1, 0, 1)), -1, 1)  # x^3 + x - 1, lo < 0
+NEG_CBRT2 = NumberField(IntPolynomial((2, 0, 0, 1)), -2, -1)  # theta = -cbrt 2
 SPLIT = NumberField(IntPolynomial((6, -2, -3, 1)), 1, 2)  # (x - 3)(x^2 - 2), theta = sqrt 2
 X2_MINUS_1 = NumberField(IntPolynomial((-1, 0, 1)), Fraction(1, 2), Fraction(3, 2))
 
@@ -328,6 +329,8 @@ def in_fresh_field(values):
 @example([-NEG_SQRT2.theta()], 12)  # sqrt 2 on a negative theta
 @example([NEG_GOLDEN.theta() + 1], 12)
 @example(quartic_triple(2), 20)
+@example([NEG_CBRT2.theta() + 2], 300)  # deep runs on stepped enclosures
+@example([CUBIC_ZERO.theta()], 300)
 def test_expand_matches_the_operator_oracle(key_bits, values, depth):
     # One key bit starts the key point at H + 3, where M is as small as the
     # search allows (11 for x^2 - x - 1, 23 for x^2 - 2), so key collisions,
@@ -374,6 +377,36 @@ def test_a_cycle_whose_first_state_has_no_key(modulus, coords, depth):
     assert got[2] == e.recurrence
 
 
+@pytest.mark.parametrize("key_bits", [None, 1])
+@pytest.mark.parametrize(
+    "values, depth",
+    [
+        ([CBRT2.theta(), CBRT2.theta() ** 2], 200),
+        ([TRIB.theta(), 1 + TRIB.theta().inverse()], 10),
+        (quartic_triple(2), 20),
+        ([CUBIC_ZERO.theta()], 200),
+        ([TRIB.element((0, 1)), TRIB.element((1, 1, 1))], 20),  # witness (5, 14)
+    ],
+)
+def test_every_state_is_keyed_as_its_exact_rows(key_bits, values, depth):
+    # The run keys each state from images it steps along with the rows; the
+    # key must be the one its exact rows give.  One key bit makes M small,
+    # so states without a key occur too.
+    values = in_fresh_field(values)
+    keyed = NumberField.ratio_key
+    keys = []
+
+    def ratio_key(field, rows, images=None):
+        keys.append(keyed(field, rows, images))
+        assert keys[-1] == keyed(field, rows)
+        return keys[-1]
+
+    with mock.patch.object(numberfield, "_KEY_BITS", key_bits or numberfield._KEY_BITS):
+        with mock.patch.object(NumberField, "ratio_key", ratio_key):
+            e = expand(values, depth)
+    assert len(keys) == (e.recurrence[1] if e.recurrence else depth) + 1
+
+
 @pytest.mark.parametrize("dropped", [0, 1])
 @pytest.mark.parametrize(
     "modulus, coords, depth",
@@ -391,7 +424,7 @@ def test_a_state_without_a_key_is_compared_with_every_other(modulus, coords, dep
     keyed = NumberField.ratio_key
     calls = []
 
-    def ratio_key(field, rows):  # called once for each state, in order
+    def ratio_key(field, rows, images=None):  # called once for each state, in order
         calls.append(rows)
         return None if len(calls) - 1 == witness[dropped] else keyed(field, rows)
 

@@ -315,13 +315,16 @@ def test_qp_ext_gcd_coprime_gives_constant():
     st.integers(-5, 5).filter(bool),
 )
 @example([1, 2, 3], [1], 2)  # (3x^2 + 2x + 1) / (2x + 1) once gave 0.25, 1.5 and 0.75
+@example([4, -1, 0, 3, 2], [5, 0], 1)
 def test_integer_division_and_gcd_match_the_fraction_path(a, b, lead):
-    # Integer inputs divide exactly by any lead: no binary float comes back.
+    # Integer inputs divide exactly by any lead: no binary float comes back,
+    # and a monic divisor keeps them integers, as subtraction always does.
     b = (*b, lead)
     fa, fb = tuple(map(Fraction, a)), tuple(map(Fraction, b))
     q, r = qp_divmod(a, b)
     assert (q, r) == reference_divmod(fa, fb)
     assert all(type(c) in (int, Fraction) for c in q + r)
+    assert all(type(c) is int for c in qp_sub(a, b) + (q + r if lead == 1 else ()))
     g, u = qp_ext_gcd(a, b)
     assert (g, u) == qp_ext_gcd(fa, fb)
     assert all(type(c) in (int, Fraction) for c in g + u)
@@ -377,6 +380,12 @@ def test_sturm_count_matches_the_fraction_chain(case):
     coeffs, lo, hi = case
     chain = sturm_chain(IntPolynomial(coeffs))
     assert all(type(c) is int for p in chain for c in p)
+    # Each element is a positive multiple of the Fraction chain's.
+    reference = reference_sturm_chain(coeffs)
+    assert [len(p) for p in chain] == [len(p) for p in reference]
+    for p, ref in zip(chain, reference):
+        scale = p[-1] / ref[-1]
+        assert scale > 0 and list(p) == [scale * c for c in ref]
     assert root_count(chain, lo, hi) == reference_root_count(coeffs, lo, hi)
 
 
