@@ -2,10 +2,12 @@
 
 The expansion loop steps integer rows, not values.  A rational row floors by
 integer division.  A field answers two questions about integer residues:
-certified floors of their ratios on a dyadic bracket of theta
-(``NumberField.ratio_floors``), and state keys, the rows' image modulo M at
-an integer point n of the modulus, which also certify v_0 a unit
-(``NumberField.ratio_key``).  A guarded decimal only knows its bounds: the
+certified floors of their ratios on a dyadic bracket of theta, with the
+enclosures that decided them (``NumberField.ratio_floors``), and state
+keys, the rows' image modulo M at an integer point n of the modulus, which
+also certify v_0 a unit (``NumberField.ratio_key``).  Both enclosures and
+images follow the integer row step, so a field run steps them with its
+rows and asks the field again only when the enclosures stop deciding.  A guarded decimal only knows its bounds: the
 loop steps integer linear forms over the box and certifies a digit when
 every point of the box floors to it.  Rationals and field elements also
 answer ``math.floor(x)``, ``x - n``, ``x == 0``, ``1 / x`` and ``x * y``

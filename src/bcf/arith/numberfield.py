@@ -16,7 +16,8 @@ are enclosed on that cell by interval Horner in one loop, ``ratio_floors``,
 which decides every floor; an element's enclosure (``interval``) is read
 off one floor of its value times a power of 2.  The field keeps no
 precision: each caller passes the one its floors start at and gets back
-the one that decided them.
+the one that decided them, with the enclosures that decided, which an
+expansion steps with its rows until they stop deciding (``end_floors``).
 
 A floor whose enclosure straddles one integer is settled by a gcd test,
 because the value may be that integer.  Expansion states are keyed by their
@@ -24,7 +25,9 @@ image under theta -> n in Z/M, for an integer n and a divisor M of p(n)
 (near 2^30 for small coefficients) that each field chooses once
 (``_key_point``).  A residue whose value at n is prime to M is a unit, so
 the key costs one inverse of a small integer; only a residue that shares a
-factor with M needs the exact rational gcd.
+factor with M needs the exact rational gcd.  The images mod M
+(``key_images``) follow any integer row step, so a caller that steps them
+with its rows keys each state without reading the rows.
 """
 
 from __future__ import annotations

@@ -25,9 +25,12 @@ in what a row is, how its floor is certified, and how a run loops:
 - a rational row is one integer, D the common denominator; its floor is
   integer division.  Order 1 is Euclid's algorithm, a bare ``divmod`` loop
   to termination;
-- a number-field row is a vector of integer power-basis coordinates; the
-  field encloses its value on a dyadic bracket of theta, at a precision the
-  run carries from step to step (``NumberField.ratio_floors``);
+- a number-field row is a vector of integer power-basis coordinates.  The
+  run steps integer enclosures of the rows' values at theta along with the
+  rows, since v_k - a*v_0 lies in [lo_k - a*hi_0, hi_k - a*lo_0] for
+  a >= 0, and floors on them while both ends of every ratio agree.  When
+  they do not, the field encloses the rows afresh on a dyadic bracket of
+  theta, at a precision the run carries (``NumberField.ratio_floors``);
 - a guarded-decimal tuple is a box of inputs, and a row is an integer linear
   form over the box's unit cube.  Each digit condition a <= v_k/v_0 < a + 1
   is a pair of linear inequalities, so the inputs sharing a prefix are
@@ -45,8 +48,9 @@ earlier one the digits between them repeat forever.  The field run keys
 every state it passes and stops at the first repeat; ``expand`` copies that
 cycle out to the requested depth.  A state is looked up by its image at the
 field's integer key point, a tuple of integers modulo M
-(``NumberField.ratio_key``), and a key hit is confirmed exactly; the rare
-state whose v_0 has no image to divide by is compared with every other.
+(``NumberField.ratio_key``) that the run steps mod M with the rows, and a
+key hit is confirmed exactly; the rare state whose v_0 has no image to
+divide by is compared with every other.
 Rational tuples terminate (their common denominator falls at every step)
 and a box has no exact states, so only field runs look states up.  An
 exact expansion keeps its first rows and rebuilds its states when read.
