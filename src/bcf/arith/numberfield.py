@@ -11,13 +11,14 @@ far, and is the package's only root refiner.  ``dyadic`` fixes theta to a
 cell [t, t + 1] / 2^bits by integer Newton at that precision from the last
 cell, certified by two sign evaluations and backed by bisection, and
 stores the cell back as the bracket, so later decisions start where
-earlier ones stopped instead of at the user's interval.  Integer residues
-are enclosed on that cell by interval Horner in one loop, ``ratio_floors``,
-which decides every floor; an element's enclosure (``interval``) is read
-off one floor of its value times a power of 2.  The field keeps no
-precision: each caller passes the one its floors start at and gets back
-the one that decided them, with the enclosures that decided, which an
-expansion steps with its rows until they stop deciding (``end_floors``).
+earlier ones stopped instead of at the user's interval.  Every floor is
+decided by one call, ``ratio_floors``: it tries the enclosures its caller
+passes, if any, and otherwise encloses the integer rows on that cell by
+interval Horner; an element's enclosure (``interval``) is read off one
+floor of its value times a power of 2.  The field keeps no precision: each
+caller passes the one its floors start at and gets back the one that
+decided them, with the enclosures that decided, which an expansion steps
+with its rows and passes back at its next step.
 
 A floor whose enclosure straddles one integer is settled by a gcd test,
 because the value may be that integer.  Expansion states are keyed by their
@@ -102,7 +103,6 @@ class NumberField:
         self._same = {}  # another field's root interval -> whether it holds this root
         self.bracket = (lo, hi, sign_lo)  # tightest known; sign of modulus at lo
         self._dmodulus = tuple(k * c for k, c in enumerate(modulus.coeffs))[1:]
-        self._cell = (None, 0, 0)  # (bracket, bits, t): the last answer of dyadic
 
     def dyadic(self, bits: int) -> int:
         """An integer t with theta in [t, t + 1] / 2^bits.
@@ -112,16 +112,12 @@ class NumberField:
         the cell, which is stored back as the bracket.  Should Newton miss
         (from a bracket too wide for it), the bracket is bisected once and
         Newton tried again."""
-        bracket, cell_bits, t = self._cell
-        if bracket is self.bracket and cell_bits == bits:
-            return t
         while True:
             lo, hi, s_lo = self.bracket
             t = (lo.numerator << bits) // lo.denominator
             if hi.numerator << bits > (t + 1) * hi.denominator:  # not in one cell yet
                 t = self._certify(self._newton(bits), bits)
             if t is not None:
-                self._cell = (self.bracket, bits, t)
                 return t
             self.bracket = bisect_once(self.modulus, lo, hi, s_lo)
 
@@ -178,32 +174,43 @@ class NumberField:
         return t
 
     def ratio_floors(
-        self, den, nums, bits: int = FLOOR_BITS
+        self, rows, bits: int = FLOOR_BITS, boxes=None
     ) -> tuple[tuple[int, ...], int, tuple[tuple[int, int], ...]]:
-        """The floor of num(theta) / den(theta) for each num (integer
-        coordinate vectors, den(theta) > 0), the precision that decided and
-        the enclosures that decided: integers [lo, hi] holding the values of
-        den and of each num at theta, all on one scale (``scaled_box``).
+        """The floor of v_k(theta) / v_0(theta) for each k >= 1 of integer
+        rows (v_0, ..., v_m), v_0(theta) > 0, the precision that decided and
+        the enclosures that decided: integers [lo, hi] holding each row's
+        value at theta, all on one scale (``scaled_box``).
 
-        Each vector is enclosed on the dyadic cell of theta at ``bits``,
-        doubled until every floor is certain.  A ratio that straddles one
-        integer c is c exactly when num - c*den vanishes at theta."""
+        ``boxes``, such enclosures that the caller has, are tried first:
+        their floors stand when lo_0 > 0 and both ends of every ratio floor
+        alike.  Otherwise the rows are enclosed afresh, one at a time, on the
+        dyadic cell of theta at ``bits``, doubled until every floor is
+        certain; a fresh ratio that straddles one integer c is c exactly
+        when v_k - c*v_0 vanishes at theta."""
+        den = rows[0]
         while True:
-            t = self.dyadic(bits)
-            boxes = [scaled_box(den, t, bits)]
-            floors: list[int] = []
-            if boxes[0][0] > 0:
-                for num in nums:
-                    boxes.append(scaled_box(num, t, bits))
-                    a, b = end_floors(boxes[0], boxes[-1])
+            fresh = boxes is None
+            if fresh:
+                t = self.dyadic(bits)
+                boxes = [scaled_box(den, t, bits)]
+            (lo0, hi0), floors = boxes[0], []
+            if lo0 > 0:
+                for k, num in enumerate(rows[1:], 1):
+                    if fresh:
+                        boxes.append(scaled_box(num, t, bits))
+                    lo, hi = boxes[k]
+                    a, b = lo // (hi0 if lo >= 0 else lo0), hi // (lo0 if hi >= 0 else hi0)
                     if a != b and not (
-                        b == a + 1 and self._vanishes([n - b * e for n, e in zip(num, den)])
+                        fresh and b == a + 1
+                        and self._vanishes([n - b * e for n, e in zip(num, den)])
                     ):
                         break
                     floors.append(b)
                 else:
                     return tuple(floors), bits, tuple(boxes)
-            bits *= 2
+            if fresh:
+                bits *= 2
+            boxes = None
 
     def _vanishes(self, coords) -> bool:
         """Whether an integer residue is zero at theta.  One prime to M at the
@@ -454,17 +461,9 @@ class FieldElement:
     def floor(self) -> int:
         """Greatest integer <= value: ``ratio_floors`` of the residue scaled
         to integers over that scale, from ``FLOOR_BITS``."""
-        den, num = integer_rows([self.coords])
-        return self.field.ratio_floors(den, [num])[0][0]
+        return self.field.ratio_floors(integer_rows([self.coords]))[0][0]
 
     __floor__ = floor
-
-
-def end_floors(den_box, num_box) -> tuple[int, int]:
-    """The floors of num/den at the two ends of the enclosures [lo, hi] of
-    num and den on one scale, den's lo > 0; the ratio's floor when equal."""
-    (lo0, hi0), (lo, hi) = den_box, num_box
-    return lo // (hi0 if lo >= 0 else lo0), hi // (lo0 if hi >= 0 else hi0)
 
 
 def integer_rows(vectors) -> tuple[tuple[int, ...], ...]:

@@ -25,12 +25,12 @@ in what a row is, how its floor is certified, and how a run loops:
 - a rational row is one integer, D the common denominator; its floor is
   integer division.  Order 1 is Euclid's algorithm, a bare ``divmod`` loop
   to termination;
-- a number-field row is a vector of integer power-basis coordinates.  The
-  run steps integer enclosures of the rows' values at theta along with the
-  rows, since v_k - a*v_0 lies in [lo_k - a*hi_0, hi_k - a*lo_0] for
-  a >= 0, and floors on them while both ends of every ratio agree.  When
-  they do not, the field encloses the rows afresh on a dyadic bracket of
-  theta, at a precision the run carries (``NumberField.ratio_floors``);
+- a number-field row is a vector of integer power-basis coordinates, and
+  a step's floors are one ``NumberField.ratio_floors`` call.  The run steps
+  the enclosures at theta that the call returns with the rows, as v_k - a*v_0
+  lies in [lo_k - a*hi_0, hi_k - a*lo_0] for a >= 0, and passes them on: the
+  next call floors on them while both ends of every ratio agree, and else
+  encloses the rows afresh at a precision the run carries;
 - a guarded-decimal tuple is a box of inputs, and a row is an integer linear
   form over the box's unit cube.  Each digit condition a <= v_k/v_0 < a + 1
   is a pair of linear inequalities, so the inputs sharing a prefix are
@@ -50,7 +50,7 @@ cycle out to the requested depth.  A state is looked up by its image at the
 field's integer key point, a tuple of integers modulo M
 (``NumberField.ratio_key``) that the run steps mod M with the rows, and a
 key hit is confirmed exactly; the rare state whose v_0 has no image to
-divide by is compared with every other.
+divide by is keyed None and compared with every other.
 Rational tuples terminate (their common denominator falls at every step)
 and a box has no exact states, so only field runs look states up.  An
 exact expansion keeps its first rows and rebuilds its states when read.
@@ -61,11 +61,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import cycle, islice
+from itertools import chain, cycle, islice
 from typing import Sequence
 
 from .arith import FieldElement, GuardedDecimal, NumberField, RealValue
-from .arith.numberfield import FLOOR_BITS, end_floors, integer_rows
+from .arith.numberfield import FLOOR_BITS, integer_rows
 from .errors import AmbiguousFloor, MixedFields, NegativeInput
 
 
@@ -234,27 +234,23 @@ def _field_run(field: NumberField, rows, step: int, limit: int):
     Beside the exact rows it steps two images of them by the same digits:
     their key images mod M, and enclosures [lo, hi] of their values at
     theta, as v_k - a*v_0 lies in [lo_k - a*hi_0, hi_k - a*lo_0] for a >= 0.
-    A step floors on the stepped enclosures while they decide, and encloses
-    the rows afresh (``NumberField.ratio_floors``) only when they do not."""
+    Each step is one ``NumberField.ratio_floors`` call, which floors on the
+    stepped enclosures while they decide and encloses afresh when they do not."""
     bits = FLOOR_BITS  # each enclosure is made at the precision the last one needed
     boxes = None  # the enclosures of the rows, once made
     m, images = field.key_images(rows)
-    seen: dict[tuple, list[int]] = {}  # key -> the steps holding it
-    unkeyed: list[int] = []  # the steps whose state has no key
-    held: dict[int, tuple] = {}  # step -> the rows of its state
+    seen: dict[tuple | None, list] = {}  # key (None: no key) -> [(step, rows)] of its states
     out = []
     key = field.ratio_key(rows, images)
     for i in range(step, step + limit):
         # Equal states share a key unless one has none, and a hit is confirmed
         # exactly; at most one earlier state can match, so the order is free.
-        for j in held if key is None else seen.get(key, []) + unkeyed:
-            if field.same_point(held[j], rows):
+        held = chain(*seen.values()) if key is None else seen.get(key, []) + seen.get(None, [])
+        for j, earlier in held:
+            if field.same_point(earlier, rows):
                 return out, rows, (j, i)
-        (unkeyed if key is None else seen.setdefault(key, [])).append(i)
-        held[i] = rows
-        digits = boxes and _box_floors(boxes)
-        if digits is None:
-            digits, bits, boxes = field.ratio_floors(rows[0], rows[1:], bits)
+        seen.setdefault(key, []).append((i, rows))
+        digits, bits, boxes = field.ratio_floors(rows, bits, boxes)
         _check_nonnegative(digits, i)
         out.append(digits)
         rows = _row_step(rows, digits)
@@ -268,21 +264,6 @@ def _field_run(field: NumberField, rows, step: int, limit: int):
         boxes = (ends[-1], boxes[0], *ends[:-1])
         key = field.ratio_key(rows, images)
     return out, rows, None
-
-
-def _box_floors(boxes) -> tuple[int, ...] | None:
-    """The floors of v_k/v_0 from enclosures of the rows on one scale, or
-    None unless v_0's is positive and both ends of every ratio floor alike."""
-    den, *nums = boxes
-    if den[0] <= 0:
-        return None
-    floors = []
-    for num in nums:
-        a, b = end_floors(den, num)
-        if a != b:
-            return None
-        floors.append(a)
-    return tuple(floors)
 
 
 def _euclid(rows, limit: int):
@@ -372,7 +353,7 @@ def _start(values, rows=None):
         if isinstance(x, Fraction):
             return "rational"
         if isinstance(x, FieldElement):
-            return ("field", x.field)
+            return x.field
         if isinstance(x, GuardedDecimal):
             return "guarded"
         raise TypeError(f"not a real value: {x!r}")
@@ -388,5 +369,4 @@ def _start(values, rows=None):
         return rows or _box_forms(vals), None, _box_run
     if kind == "rational":
         return rows or integer_rows([(x,) for x in vals]), None, _rational_run
-    field = kind[1]
-    return rows or integer_rows([x.coords for x in vals]), field, partial(_field_run, field)
+    return rows or integer_rows([x.coords for x in vals]), kind, partial(_field_run, kind)

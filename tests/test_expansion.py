@@ -158,6 +158,20 @@ def test_a_deep_run_encloses_about_once_per_precision(monkeypatch):
     assert calls["scaled_box"] <= 40
 
 
+def test_a_field_run_makes_one_floor_call_per_digit_tuple(monkeypatch):
+    calls = Counter()
+    ratio_floors = NumberField.ratio_floors
+
+    def counted(self, *args):
+        calls["ratio_floors"] += 1
+        return ratio_floors(self, *args)
+
+    monkeypatch.setattr(NumberField, "ratio_floors", counted)
+    field = NumberField(IntPolynomial((-2, 0, 0, 1)), 1, 2)
+    assert len(expand([field.theta()], 200)) == 200
+    assert calls["ratio_floors"] == 200
+
+
 def test_moore_pair_digits():
     th = MOORE.theta()
     beta = th.inverse()  # b = 0: beta = 0 + 1/alpha

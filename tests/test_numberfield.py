@@ -380,6 +380,94 @@ def test_a_field_keeps_no_precision_between_callers():
     assert asked[0] == numberfield.FLOOR_BITS
 
 
+@pytest.mark.parametrize("modulus", [CBRT2.modulus, QUARTIC.modulus])
+def test_dyadic_at_the_last_cell_evaluates_nothing(modulus):
+    # The bracket left by dyadic(bits) is that cell, which the one-cell
+    # test answers without a sign evaluation or a Newton step.
+    field = NumberField(modulus, 1, 2)
+    for bits in (64, 128, 1000):
+        t, bracket = field.dyadic(bits), field.bracket
+        with mock.patch.object(numberfield, "homogeneous_eval", side_effect=AssertionError):
+            assert field.dyadic(bits) == t
+        assert field.bracket is bracket
+
+
+STEPPED_FIELDS = [  # (field, order m of the rows)
+    (CBRT2, 1),
+    (NumberField(IntPolynomial((-3, -1, 0, 1)), 1, 2), 2),
+    (NumberField(IntPolynomial((-3, 0, 0, 0, 1)), 1, 2), 3),
+    (NumberField(IntPolynomial((2, 0, 0, 1)), -2, -1), 1),
+]
+
+
+def positive_rows(field, rows):
+    """Integer rows with v_0 > 0 and every v_k/v_0 >= 0 at theta, made from
+    any rows with v_0 != 0 by a sign and by adding multiples of v_0."""
+    v0 = rows[0] if math.floor(field.element(rows[0])) >= 0 else [-c for c in rows[0]]
+    floors = field.ratio_floors((v0, *rows[1:]))[0]
+    return (tuple(v0), *(tuple(c + max(0, -a) * c0 for c, c0 in zip(v, v0))
+                         for v, a in zip(rows[1:], floors)))
+
+
+def row_step(rows, digits):
+    """The expansion's row step by digits a_1, ..., a_m."""
+    v0 = rows[0]
+    rests = [tuple(c - a * c0 for c, c0 in zip(v, v0)) for v, a in zip(rows[1:], digits)]
+    return (rests[-1], v0, *rests[:-1])
+
+
+def stepped(boxes, digits):
+    """The run's step of enclosures [lo_k, hi_k] by non-negative digits."""
+    (lo0, hi0), *ends = boxes
+    ends = [(lo - a * hi0, hi - a * lo0) for (lo, hi), a in zip(ends, digits)]
+    return (ends[-1], boxes[0], *ends[:-1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(STEPPED_FIELDS), st.data())
+def test_stepped_enclosures_floor_as_fresh_ones(case, data):
+    field, m = case
+    coords = st.lists(st.integers(-50, 50), min_size=field.degree, max_size=field.degree)
+    rows = data.draw(st.lists(coords, min_size=m + 1, max_size=m + 1))
+    assume(any(rows[0]))
+    rows = positive_rows(field, rows)
+    floors, bits, boxes = field.ratio_floors(rows)
+    nxt = row_step(rows, floors)
+    assume(any(nxt[0]))
+    boxes = stepped(boxes, floors)
+    # Wider enclosures are enclosures too, so the floors may not depend on
+    # them; a slack up to v_0's upper end moves each ratio's ends by up to 1.
+    slack = data.draw(st.integers(0, 8)) * boxes[0][1] // 8
+    boxes = tuple((lo - slack, hi + slack) for lo, hi in boxes)
+    assert field.ratio_floors(nxt, bits, boxes)[0] == field.ratio_floors(nxt)[0]
+
+
+ROWS = ((1, 1, 0), (0, 5, 3), (7, 0, -2))  # (1 + t, 5t + 3t^2, 7 - 2t^2) over x^3 - x - 3
+
+
+def test_enclosures_that_decide_enclose_nothing():
+    field = STEPPED_FIELDS[1][0]
+    decided = field.ratio_floors(ROWS)
+    with mock.patch.object(numberfield, "scaled_box", side_effect=AssertionError), \
+            mock.patch.object(NumberField, "dyadic", side_effect=AssertionError):
+        assert field.ratio_floors(ROWS, 7, decided[2]) == (decided[0], 7, decided[2])
+
+
+def test_enclosures_that_do_not_decide_are_made_afresh():
+    field = STEPPED_FIELDS[1][0]
+    floors, bits, boxes = field.ratio_floors(ROWS)
+    (lo0, hi0), *ends = boxes
+    straddling = ((lo0, hi0), *((lo, hi + hi0) for lo, hi in ends))  # ends one floor apart
+    widened = ((lo0, hi0), *((lo - hi0, hi + hi0) for lo, hi in ends))
+    scaled_box = numberfield.scaled_box
+    for given_boxes in (straddling, widened, ((0, hi0), *ends), ((-hi0, hi0), *ends)):
+        enclosed = []
+        with mock.patch.object(numberfield, "scaled_box",
+                               lambda *a: enclosed.append(a) or scaled_box(*a)):
+            assert field.ratio_floors(ROWS, bits, given_boxes) == (floors, bits, boxes)
+        assert len(enclosed) == len(ROWS)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.sampled_from([SQRT2, TRIB, CBRT2, QUARTIC]),

@@ -10,12 +10,14 @@ import pytest
 from bcf.arith import GuardedDecimal, IntPolynomial, NumberField
 from bcf.arith.polynomials import qp_divmod, qp_primitive_int
 from bcf.closedform import allones_poly, cubic_hunt
-from bcf.errors import NonIsolatingInterval, ParseError, ZeroInverse
+from bcf.errors import MixedFields, NonIsolatingInterval, ParseError, ZeroInverse
 from bcf.evaluation import DigitSpec, reconstruct, render_tree, unroll
+from bcf.expansion import expand
 from bcf.formats import decimal_string, format_value_spec, loads_digit_file, parse_inline_digits
 from bcf.periodicity import NONE_WITHIN_DEPTH, PeriodReport, apparent_digit_period
 
 SQRT2 = NumberField(IntPolynomial((-2, 0, 1)), 1, 2)
+CBRT2 = NumberField(IntPolynomial((-2, 0, 0, 1)), 1, 2)
 UNIT = DigitSpec.constant((1, 1))
 
 
@@ -74,6 +76,13 @@ def digit_file(*lines):
                      "polynomial division by zero", id="poly-divide"),
         pytest.param(lambda: GuardedDecimal(1, 0), ValueError, "guard radius must be positive",
                      id="guard-radius"),
+        pytest.param(lambda: expand([SQRT2.theta(), Fraction(1, 2)], 3), MixedFields,
+                     "all expansion inputs must share one backend (and one field); got "
+                     "NumberField(x^2 - 2, root in (1, 2)), rational", id="expand-field-rational"),
+        pytest.param(lambda: expand([CBRT2.theta(), SQRT2.theta()], 3), MixedFields,
+                     "all expansion inputs must share one backend (and one field); got "
+                     "NumberField(x^2 - 2, root in (1, 2)), NumberField(x^3 - 2, root in (1, 2))",
+                     id="expand-two-fields"),
     ],
 )
 def test_refusals(call, error, message):
