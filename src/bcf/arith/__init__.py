@@ -10,9 +10,9 @@ row step, so a field run steps them with its rows and hands the stepped
 enclosures to its next floor call, which encloses afresh on a dyadic
 bracket of theta only when they stop deciding.  A guarded decimal only
 knows its bounds: the loop steps integer linear forms over the box and
-certifies a digit when every point of the box floors to it.  Rationals and field elements also
-answer ``math.floor(x)``, ``x - n``, ``x == 0``, ``1 / x`` and ``x * y``
-exactly, for code that works with values.
+certifies a digit when every point of the box floors to it.  Rationals and
+field elements also answer ``math.floor(x)``, ``x - n``, ``x == 0``,
+``1 / x`` and ``x * y`` exactly, for code that works with values.
 """
 
 from fractions import Fraction

@@ -245,8 +245,8 @@ def _field_run(field: NumberField, rows, step: int, limit: int):
     for i in range(step, step + limit):
         # Equal states share a key unless one has none, and a hit is confirmed
         # exactly; at most one earlier state can match, so the order is free.
-        held = chain(*seen.values()) if key is None else seen.get(key, []) + seen.get(None, [])
-        for j, earlier in held:
+        rivals = chain(*seen.values()) if key is None else seen.get(key, []) + seen.get(None, [])
+        for j, earlier in rivals:
             if field.same_point(earlier, rows):
                 return out, rows, (j, i)
         seen.setdefault(key, []).append((i, rows))
