@@ -19,6 +19,7 @@ from bcf.errors import (
     ReducibleModulus,
     ZeroInverse,
 )
+from bcf.expansion import _row_step as row_step
 from bcf.expansion import expand
 
 SQRT2 = NumberField(IntPolynomial((-2, 0, 1)), 1, 2)
@@ -407,13 +408,6 @@ def positive_rows(field, rows):
     floors = field.ratio_floors((v0, *rows[1:]))[0]
     return (tuple(v0), *(tuple(c + max(0, -a) * c0 for c, c0 in zip(v, v0))
                          for v, a in zip(rows[1:], floors)))
-
-
-def row_step(rows, digits):
-    """The expansion's row step by digits a_1, ..., a_m."""
-    v0 = rows[0]
-    rests = [tuple(c - a * c0 for c, c0 in zip(v, v0)) for v, a in zip(rows[1:], digits)]
-    return (rests[-1], v0, *rests[:-1])
 
 
 def stepped(boxes, digits):
