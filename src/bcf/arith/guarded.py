@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from decimal import Context, Decimal
 from fractions import Fraction
-from math import ceil, floor, log10
+from math import floor
 
 from ..errors import AmbiguousFloor
 
@@ -78,10 +78,11 @@ class GuardedDecimal:
         flo, fhi = floor(lo), floor(hi)
         if flo == fhi:
             return flo
-        hint = self._extra_digits_to(fhi)
+        near = round(self.value)
+        hint = self._extra_digits_to(near)
         raise AmbiguousFloor(
             f"value {_approx(self.value)} is within +/-{_approx(self.radius)} "
-            f"of integer {fhi}; "
+            f"of integer {near}; "
             + (
                 f"about {hint} more trusted digit(s) may resolve it"
                 if hint is not None
@@ -91,10 +92,15 @@ class GuardedDecimal:
         )
 
     def _extra_digits_to(self, n: int) -> int | None:
+        """1 + the least k >= 0 with 10^k >= radius / |value - n|, on
+        integers (a float log10 overflows past 10^308); None at n itself."""
         gap = abs(self.value - n)
         if gap == 0:
             return None
-        return max(1, ceil(log10(self.radius / gap)) + 1)
+        ratio, digits, power = -(-self.radius // gap), 1, 1  # ratio rounded up
+        while power < ratio:
+            power, digits = power * 10, digits + 1
+        return digits
 
 
 def _approx(q: Fraction) -> str:

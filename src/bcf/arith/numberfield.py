@@ -8,17 +8,17 @@ helpers, reduced modulo p.
 
 Each field keeps one isolating bracket of theta, the tightest found so
 far, and is the package's only root refiner.  ``dyadic`` fixes theta to a
-cell [t, t + 1] / 2^bits by integer Newton at that precision from the last
-cell, certified by two sign evaluations and backed by bisection, and
-stores the cell back as the bracket, so later decisions start where
-earlier ones stopped instead of at the user's interval.  Every floor is
-decided by one call, ``ratio_floors``: it tries the enclosures its caller
-passes, if any, and otherwise encloses the integer rows on that cell by
-interval Horner; an element's enclosure (``interval``) is read off one
-floor of its value times a power of 2.  The field keeps no precision: each
-caller passes the one its floors start at and gets back the one that
-decided them, with the enclosures that decided, which an expansion steps
-with its rows and passes back at its next step.
+cell [t, t + 1] / 2^bits in one loop from the last cell: each sign of the
+modulus moves one end of a grid bracket, at the integer Newton step when it
+falls inside, at the midpoint otherwise.  It stores the cell back as the
+bracket, so later decisions start where earlier ones stopped instead of at
+the user's interval.  Every floor is decided by one call, ``ratio_floors``:
+it tries the enclosures its caller passes, if any, and otherwise encloses
+the integer rows on that cell by interval Horner; an element's enclosure
+(``interval``) is read off one floor of its value times a power of 2.  The
+field keeps no precision: each caller passes the one its floors start at
+and gets back the one that decided them, with the enclosures that decided,
+which an expansion steps with its rows and passes back at its next step.
 
 A floor whose enclosure straddles one integer is settled by a gcd test,
 because the value may be that integer.  Expansion states are keyed by their
@@ -47,7 +47,6 @@ from ..errors import (
 )
 from .polynomials import (
     IntPolynomial,
-    bisect_once,
     homogeneous_eval,
     qp_divmod,
     qp_ext_gcd,
@@ -107,71 +106,38 @@ class NumberField:
     def dyadic(self, bits: int) -> int:
         """An integer t with theta in [t, t + 1] / 2^bits.
 
-        Integer Newton at the requested precision starts from the current
-        bracket, which is the last cell found; two sign evaluations certify
-        the cell, which is stored back as the bracket.  Should Newton miss
-        (from a bracket too wide for it), the bracket is bisected once and
-        Newton tried again."""
-        while True:
-            lo, hi, s_lo = self.bracket
-            t = (lo.numerator << bits) // lo.denominator
-            if hi.numerator << bits > (t + 1) * hi.denominator:  # not in one cell yet
-                t = self._certify(self._newton(bits), bits)
-            if t is not None:
-                return t
-            self.bracket = bisect_once(self.modulus, lo, hi, s_lo)
-
-    def _newton(self, bits: int) -> int:
-        """An integer near theta * 2^bits: integer Newton at ``bits`` from the
-        bracket's midpoint, each step clamped to the bracket, until a step
-        moves by at most 1 (or bits.bit_length() + 4 steps have run)."""
-        (lo, hi, _), p, dp = self.bracket, self.modulus.coeffs, self._dmodulus
-        least = -(-(lo.numerator << bits) // lo.denominator)
-        most = (hi.numerator << bits) // hi.denominator
-        x, scale = (least + most) // 2, 1 << bits
-        for _ in range(bits.bit_length() + 4):
-            step = homogeneous_eval(p, x, scale) // (homogeneous_eval(dp, x, scale) or 1)
-            x, prev = min(max(x - step, least), most), x
-            if -1 <= x - prev <= 1:
-                break
-        return x
-
-    def _certify(self, t: int, bits: int) -> int | None:
-        """Walk t, a few steps at most, to the cell [t, t + 1] / 2^bits that
-        holds theta, proven by the modulus's signs at the cell's ends inside
-        the bracket, and store the cell (cut to the bracket) as the bracket;
-        None if theta is not that near."""
+        The bracket's ends, rounded out to the grid of 2^-bits, are points a
+        and b left and right of theta.  While they are more than one cell
+        apart, the modulus's sign at a point strictly between them moves one
+        of them there: the integer Newton step from the last point when it
+        lands strictly inside (for the first bits.bit_length() + 4 steps),
+        the midpoint otherwise.  The cell [a, b] is stored back as the
+        bracket, cut to it; a point where the modulus vanishes is theta,
+        stored with the quarter points around it."""
         lo, hi, s_lo = self.bracket
-        sides: dict[int, int] = {}
-
-        def side(g: int) -> int:
-            """-1, 0 or 1 as g / 2^bits lies left of, at or right of theta."""
-            if g not in sides:
-                if g * lo.denominator <= lo.numerator << bits:
-                    sides[g] = -1
-                elif g * hi.denominator >= hi.numerator << bits:
-                    sides[g] = 1
-                else:
-                    v = homogeneous_eval(self.modulus.coeffs, g, 1 << bits)
-                    sides[g] = -s_lo * ((v > 0) - (v < 0))
-            return sides[g]
-
-        for _ in range(4):
-            if side(t) > 0:
-                t -= 1
-            elif side(t + 1) <= 0:
-                t += 1
-            else:
+        a = (lo.numerator << bits) // lo.denominator
+        b = -(-(hi.numerator << bits) // hi.denominator)
+        if b - a == 1:  # the bracket is in one cell already
+            return a
+        p, dp, scale = self.modulus.coeffs, self._dmodulus, 1 << bits
+        x, steps = (a + b) // 2, bits.bit_length() + 4
+        while True:
+            v = homogeneous_eval(p, x, scale)
+            if not v:  # theta is x / 2^bits: store the quarter points around it
+                self.bracket = (max(lo, Fraction(2 * x - 1, 2 * scale)),
+                                min(hi, Fraction(2 * x + 1, 2 * scale)), s_lo)
+                return x
+            left = (v > 0) == (s_lo > 0)
+            a, b = (x, b) if left else (a, x)
+            if b - a == 1:
                 break
-        else:
-            return None
-        scale = 1 << bits
-        if side(t) == 0:  # theta is t / 2^bits: keep the quarter points around it
-            cell = (Fraction(2 * t - 1, 2 * scale), Fraction(2 * t + 1, 2 * scale))
-        else:
-            cell = (Fraction(t, scale), Fraction(t + 1, scale))
-        self.bracket = (max(lo, cell[0]), min(hi, cell[1]), s_lo)
-        return t
+            if steps:  # the Newton step from x; a 0 step moves one point toward theta
+                steps -= 1
+                x -= v // (homogeneous_eval(dp, x, scale) or 1) or (-1 if left else 1)
+            if not a < x < b:  # x is still a or b when no step was taken
+                x = (a + b) // 2
+        self.bracket = (max(lo, Fraction(a, scale)), min(hi, Fraction(b, scale)), s_lo)
+        return a
 
     def ratio_floors(
         self, rows, bits: int = FLOOR_BITS, boxes=None

@@ -1,5 +1,5 @@
 """Integer polynomials: exact evaluation, interval evaluation on a dyadic
-cell, one bisection step, and Sturm root counts.
+cell, and Sturm root counts.
 
 The value at a point p/q is the integer q^n * c(p/q), its denominator
 cleared, never a float: a floor or sign decision made here is a proof, not
@@ -108,27 +108,6 @@ def scaled_box(coeffs: Sequence[int], t: int, bits: int) -> tuple[int, int]:
         a, b = lo * t, hi * t  # t >= 0: at t + 1 each product gains lo or hi
         lo, hi = (a if lo >= 0 else a + lo) + c, (b + hi if hi >= 0 else b) + c
     return lo, hi
-
-
-def bisect_once(
-    poly: IntPolynomial, lo: Fraction, hi: Fraction, s_lo: int
-) -> tuple[Fraction, Fraction, int]:
-    """One bisection step of an isolating bracket of a simple root.
-
-    (lo, hi) must hold exactly one root of ``poly``, a simple one, and
-    ``s_lo`` is the sign of ``poly`` at ``lo``; it comes back with the new
-    bracket.  Only the midpoint is evaluated: a bracket moves its left end
-    to a midpoint of the same sign.  A midpoint that is a root is the
-    bracket's only root, so the bracket shrinks to the quarter points
-    around it, and the sign left of it is still ``s_lo``.
-    """
-    mid = (lo + hi) / 2
-    s_mid = poly.sign_at(mid)
-    if s_mid == 0:
-        return (lo + mid) / 2, (mid + hi) / 2, s_lo
-    if s_mid == s_lo:
-        return mid, hi, s_lo
-    return lo, mid, s_lo
 
 
 def sturm_chain(poly: IntPolynomial) -> list[tuple[int, ...]]:

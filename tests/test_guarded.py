@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 from bcf.arith import GuardedDecimal
+from bcf.cli import main
 from bcf.errors import AmbiguousFloor
 from bcf.expansion import ExpansionState, expand, expand_step
 
@@ -48,6 +49,21 @@ def test_floor_refused_when_possibly_integral():
     with pytest.raises(AmbiguousFloor) as exc:
         g.floor()
     assert exc.value.extra_digits_hint is None
+
+
+@pytest.mark.parametrize(
+    "literal",
+    ["2." + "0" * 401 + "1", "2.5"],  # radius / gap is 10^400 and 2 * 10^399
+    ids=["gap-10^-402", "radius-10^399"],
+)
+def test_refusal_hint_past_float_range_names_the_nearest_integer(literal, capsys):
+    g = GuardedDecimal.from_literal(literal, guard_digits=400)
+    with pytest.raises(AmbiguousFloor) as exc:
+        g.floor()
+    assert exc.value.extra_digits_hint == 401
+    assert "of integer 2; about 401 more trusted digit(s) may resolve it" in str(exc.value)
+    assert main(["expand", f"dec:{literal},guard=400"]) == 3
+    assert "of integer 2; about 401 more" in capsys.readouterr().err
 
 
 def corner_steps(box):

@@ -28,6 +28,28 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
+def test_every_module_uses_what_it_imports():
+    # Package __init__ files import to re-export; every other module should
+    # use each name it imports, so a deleted helper leaves no stale import.
+    unused = []
+    for path in sorted(Path(bcf.__file__).parent.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert unused == []
+
+
 def leaf_errors():
     classes = [c for c in vars(errors).values()
                if isinstance(c, type) and c.__module__ == errors.__name__]

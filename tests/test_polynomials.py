@@ -1,6 +1,8 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -10,7 +12,6 @@ from bcf.arith import numberfield, polynomials
 from bcf.arith.numberfield import NumberField
 from bcf.arith.polynomials import (
     IntPolynomial,
-    bisect_once,
     homogeneous_eval,
     qp_divmod,
     qp_ext_gcd,
@@ -30,6 +31,12 @@ TRIBONACCI = IntPolynomial((-1, -1, -1, 1))
 TETRANACCI = IntPolynomial((-1, -1, -1, -1, 1))
 SQRT2 = IntPolynomial((-2, 0, 1))
 X2_MINUS_1 = IntPolynomial((-1, 0, 1))
+AWKWARD_BRACKETS = [
+    (IntPolynomial((2, -2, 0, 1)), -2, 2),  # Newton from 0 cycles 0 -> 1 -> 0
+    (SQRT2, Fraction(1, 10**6), 10**6),
+    (IntPolynomial((-1, -1, 1)), 0, 10**9),
+    (IntPolynomial(reduce(qp_mul, [(-k, 1) for k in range(1, 9)])), Fraction(5, 2), Fraction(7, 2)),
+]  # the last is (x - 1)(x - 2)...(x - 8) around its root 3, which is on every grid
 
 
 def fraction_horner(coeffs, x):
@@ -41,11 +48,25 @@ def fraction_horner(coeffs, x):
 
 
 def root_bracket(poly, lo, hi, width):
-    """Test-only oracle: plain bisection of a sign-change bracket."""
+    """Test-only oracle: plain bisection of a sign-change bracket on
+    Fractions.  A midpoint that is the root is kept with the quarter points
+    around it, and the bisection goes on."""
+
+    def sign_at(x):
+        v = fraction_horner(poly.coeffs, x)
+        return (v > 0) - (v < 0)
+
     lo, hi = Fraction(lo), Fraction(hi)
-    s_lo = poly.sign_at(lo)
+    s_lo = sign_at(lo)
     while hi - lo > width:
-        lo, hi, s_lo = bisect_once(poly, lo, hi, s_lo)
+        mid = (lo + hi) / 2
+        s_mid = sign_at(mid)
+        if s_mid == 0:
+            lo, hi = (lo + mid) / 2, (mid + hi) / 2
+        elif s_mid == s_lo:
+            lo = mid
+        else:
+            hi = mid
     return lo, hi
 
 
@@ -170,14 +191,15 @@ def test_refine_root_nests_and_preserves_signs():
         assert lo <= Fraction(root_num, root_den) <= hi
 
 
-def test_bisect_once_shrinks_around_an_exact_midpoint_root():
-    # The midpoint 1 is the bracket's only root, so the bracket shrinks to
-    # the quarter points and the sign left of the root stays -1.
-    assert bisect_once(X2_MINUS_1, Fraction(0), Fraction(2), -1) == (
-        Fraction(1, 2),
-        Fraction(3, 2),
-        -1,
-    )
+def test_dyadic_at_an_exact_root_keeps_the_quarter_points():
+    # The first midpoint, 1, is the bracket's only root, so the cell starts
+    # there, the bracket shrinks to the quarter points around it and the
+    # sign left of the root stays -1.
+    for bits in (1, 8, 64):
+        field = NumberField(X2_MINUS_1, 0, 2)
+        assert field.dyadic(bits) == 2**bits
+        quarter = Fraction(1, 2 ** (bits + 1))
+        assert field.bracket == (1 - quarter, 1 + quarter, -1)
     assert NumberField(X2_MINUS_1, 0, 2).theta().floor() == 1
 
 
@@ -202,7 +224,7 @@ def test_field_interval_encloses_theta(case, k):
     assert a <= b and s * poly.sign_at(a) >= 0 >= s * poly.sign_at(b)
 
 
-def test_bisection_evaluates_only_the_midpoint(monkeypatch):
+def test_a_field_run_refines_theta_in_few_evaluations(monkeypatch):
     theta = NumberField(IntPolynomial((-2, 0, 0, 1)), 1, 2).theta()  # 2^(1/3)
     calls = Counter()
 
@@ -213,24 +235,20 @@ def test_bisection_evaluates_only_the_midpoint(monkeypatch):
 
         return wrapper
 
-    # One evaluator serves the sign tests (polynomials) and Newton and the
-    # cell certificates (numberfield); both names are counted as one.
+    # One evaluator serves the sign tests (polynomials) and the refining
+    # loop (numberfield); both names are counted as one.
     evaluate = counted("eval", polynomials.homogeneous_eval)
     monkeypatch.setattr(polynomials, "homogeneous_eval", evaluate)
     monkeypatch.setattr(numberfield, "homogeneous_eval", evaluate)
-    monkeypatch.setattr(numberfield, "bisect_once", counted("bisect", numberfield.bisect_once))
-    lo, hi, s_lo = theta.field.bracket
-    bisect_once(theta.field.modulus, lo, hi, s_lo)
-    assert calls == {"eval": 1}
     # The recurrence keys' integer point, chosen once per field, evaluates
     # the modulus at integers; only the root's refinement is counted below.
     theta.field.ratio_key(((1, 0, 0), (0, 1, 0)))
     calls.clear()
     first = expand([theta], 60)
-    # The floors read a dyadic bracket of theta that Newton steps refine to
-    # 64, 128 and 256 bits, without a bisection; a second run finds it
-    # settled already.
-    assert calls == {"eval": 26}
+    # The floors read a dyadic bracket of theta that Newton steps from its
+    # midpoint refine to 64, 128 and 256 bits, every step landing inside; a
+    # second run finds it settled already.
+    assert calls == {"eval": 23}
     calls.clear()
     assert expand([theta], 60) == first
     assert calls == {}
@@ -240,7 +258,7 @@ def test_bisection_evaluates_only_the_midpoint(monkeypatch):
     "poly, lo, hi",
     [(TRIBONACCI, 1, 2), (SQRT2, -2, -1), (IntPolynomial((-1, 1, 1)), -1, 1),
      (IntPolynomial((-1, -1, 1)), -1, Fraction(1, 2)), (X2_MINUS_1, Fraction(1, 2), 3),
-     (IntPolynomial((-1, 9, -6, 1)), 1, 3), (TETRANACCI, 0, 5)],
+     (IntPolynomial((-1, 9, -6, 1)), 1, 3), (TETRANACCI, 0, 5), *AWKWARD_BRACKETS],
 )
 def test_dyadic_cell_holds_theta_and_tightens_the_bracket(poly, lo, hi):
     field = NumberField(poly, lo, hi)
@@ -255,6 +273,19 @@ def test_dyadic_cell_holds_theta_and_tightens_the_bracket(poly, lo, hi):
         assert poly.sign_at(blo) == s_lo == -poly.sign_at(bhi)
         widths.append(bhi - blo)
     assert widths == sorted(widths, reverse=True)
+
+
+@pytest.mark.parametrize("bracket, most", zip(AWKWARD_BRACKETS, (51, 230, 368, 18)))
+def test_dyadic_work_on_awkward_brackets_is_bounded(bracket, most):
+    # The bounds are the evaluations of integer Newton with a cell
+    # certificate and a bisection fallback, the refiner the one loop
+    # replaced; the loop takes 34, 57, 67 and 5.
+    field = NumberField(*bracket)
+    wrapped = numberfield.homogeneous_eval
+    with mock.patch.object(numberfield, "homogeneous_eval", wraps=wrapped) as evaluate:
+        for bits in (1, 64, 8, 300, 2000):
+            field.dyadic(bits)
+    assert evaluate.call_count <= most
 
 
 def reference_divmod(a, b):
