@@ -277,9 +277,9 @@ def test_dyadic_cell_holds_theta_and_tightens_the_bracket(poly, lo, hi):
 
 @pytest.mark.parametrize("bracket, most", zip(AWKWARD_BRACKETS, (51, 230, 368, 18)))
 def test_dyadic_work_on_awkward_brackets_is_bounded(bracket, most):
-    # The bounds are the evaluations of integer Newton with a cell
-    # certificate and a bisection fallback, the refiner the one loop
-    # replaced; the loop takes 34, 57, 67 and 5.
+    # The bounds are what integer Newton, a four-cell certificate and a
+    # bisection fallback take together on these brackets; the loop takes
+    # 34, 57, 67 and 5.
     field = NumberField(*bracket)
     wrapped = numberfield.homogeneous_eval
     with mock.patch.object(numberfield, "homogeneous_eval", wraps=wrapped) as evaluate:
