@@ -145,11 +145,18 @@ def run():
 # -- commands ---------------------------------------------------------------------
 
 
-def cmd_expand(args):
-    values = _parse_values(args.values)
+def _expansion(args):
+    """The value specs of ``expand``/``period`` (specs of one alg: field share
+    it) and their expansion to ``--depth``."""
+    number_fields: dict = {}
+    values = [parse_value_spec(t, number_fields) for t in args.values]
     if args.depth < 1:
         raise ParseError("--depth must be >= 1")
-    exp = expand(values, args.depth)
+    return values, expand(values, args.depth)
+
+
+def cmd_expand(args):
+    values, exp = _expansion(args)
     report = period_report(exp) if args.period else None
     spec = DigitSpec.from_expansion(exp, report)
     meta = {}
@@ -175,12 +182,6 @@ def cmd_expand(args):
         sys.stdout.write(dumps_digit_file(doc))
         if report is not None and report.status != PROVEN:
             print(f"# period: {report.status}")
-
-
-def _parse_values(texts):
-    """The value specs of one command; specs of one alg: field share it."""
-    number_fields: dict = {}
-    return [parse_value_spec(t, number_fields) for t in texts]
 
 
 def _period_payload(report):
@@ -282,10 +283,7 @@ def cmd_kbonacci(args):
 
 
 def cmd_period(args):
-    values = _parse_values(args.values)
-    if args.depth < 1:
-        raise ParseError("--depth must be >= 1")
-    exp = expand(values, args.depth)
+    _, exp = _expansion(args)
     report = period_report(exp)
     if args.format == "json":
         payload = {"m": exp.order, "depth": len(exp)}

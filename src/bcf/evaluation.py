@@ -219,27 +219,16 @@ def render_tree(spec: DigitSpec, depth: int, which: str = "alpha") -> str:
         raise ValueError("tree depth must be between 0 and 6")
     digits = unroll(spec, depth)
 
-    def node(kind: str, level: int) -> list[str]:
-        if kind == "one":
-            return ["1"]
-        value = digits[0][level] if kind == "a" else digits[1][level]
-        if level == depth:
-            return [str(value)]
-        if kind == "a":
-            up = node("b", level + 1)
-            dn = node("a", level + 1)
-        else:
-            up = node("one", level + 1)
-            dn = node("a", level + 1)
-        lines = [str(value)]
-        lines.append("+- up: " + up[0])
-        lines.extend("|      " + rest for rest in up[1:])
-        lines.append("`- dn: " + dn[0])
-        lines.extend("       " + rest for rest in dn[1:])
+    def node(k: int, level: int) -> list[str]:
+        lines = [str(digits[k][level])]
+        if level < depth:
+            up = node(1, level + 1) if k == 0 else ["1"]
+            dn = node(0, level + 1)
+            lines += ["+- up: " + up[0], *("|      " + rest for rest in up[1:])]
+            lines += ["`- dn: " + dn[0], *("       " + rest for rest in dn[1:])]
         return lines
 
-    root = "a" if which == "alpha" else "b"
-    body = node(root, 0)
+    body = node(0 if which == "alpha" else 1, 0)
     header = [
         f"{which} tree, depth {depth}",
         "node p with branches (up: q, dn: r) stands for p + q/r",

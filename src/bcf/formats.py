@@ -8,7 +8,8 @@ Value specs::
                                                   field element (ascending
                                                   coefficients, rational
                                                   coordinates, isolating
-                                                  interval)
+                                                  interval); exactly these
+                                                  four fields, once each
 
 Digit files are line-oriented with a versioned header; loading a canonical
 file and saving it again is byte-identical::
@@ -117,6 +118,8 @@ def _parse_alg(body: str, number_fields: dict) -> FieldElement:
         key, sep, val = part.partition("=")
         if not sep:
             raise ParseError(f"malformed alg field {part!r}")
+        if key not in ("poly", "elem", "lo", "hi"):
+            raise ParseError(f"unknown alg field {key!r}")
         if key in fields:
             raise ParseError(f"duplicate alg field {key!r}")
         fields[key] = val
@@ -149,13 +152,8 @@ def format_value_spec(value: RealValue) -> str:
     if isinstance(value, GuardedDecimal):
         if value.mantissa is None:
             raise ValueError("derived guarded decimals have no literal form")
-        sign = "-" if value.mantissa < 0 else ""
-        digits = str(abs(value.mantissa)).rjust(value.scale + 1, "0")
-        if value.scale:
-            literal = f"{sign}{digits[: -value.scale]}.{digits[-value.scale :]}"
-        else:
-            literal = f"{sign}{digits}"
-        return f"dec:{literal},guard={value.guard_digits}"
+        # value = mantissa / 10**scale, so this rendering is exact
+        return f"dec:{decimal_string(value.value, value.scale)},guard={value.guard_digits}"
     if isinstance(value, FieldElement):
         poly = ",".join(str(c) for c in value.field.modulus.coeffs)
         elem = ",".join(format_fraction(c) for c in value.coords)
@@ -212,7 +210,8 @@ def loads_digit_file(text: str) -> DigitFile:
             _once(m is not None, key)
             m = _parse_int(rest, "m")
         elif key.startswith(("head[", "cycle[")) and key.endswith("]"):
-            table, k = head if key.startswith("head[") else cycle, _seq_index(key)
+            table = head if key.startswith("head[") else cycle
+            k = _parse_int(key[key.index("[") + 1 : -1], "sequence index")
             _once(k in table, key)
             table[k] = _parse_digit_row(rest)
         elif key == "terminated":
@@ -228,29 +227,27 @@ def loads_digit_file(text: str) -> DigitFile:
             raise ParseError(f"unknown digit-file key {key!r}")
     if m is None:
         raise ParseError("digit file missing 'm:' line")
-    if sorted(head) != list(range(1, m + 1)):
+    rows = range(1, m + 1)  # ranges compare unbuilt, so a huge m allocates nothing
+    if rows != range(1, len(head) + 1) or sorted(head) != list(rows):
         raise ParseError(f"expected head[1..{m}] lines, got {sorted(head)}")
-    if cycle and sorted(cycle) != list(range(1, m + 1)):
+    if cycle and (rows != range(1, len(cycle) + 1) or sorted(cycle) != list(rows)):
         raise ParseError(f"expected cycle[1..{m}] lines, got {sorted(cycle)}")
+    spec = _digit_spec(
+        m, tuple(head[k] for k in rows), tuple(cycle[k] for k in rows) if cycle else None
+    )
+    return DigitFile(spec=spec, terminated_at=terminated_at, meta=meta)
+
+
+def _digit_spec(order: int, head, cycle) -> DigitSpec:
     try:
-        spec = DigitSpec(
-            order=m,
-            head=tuple(head[k] for k in range(1, m + 1)),
-            cycle=tuple(cycle[k] for k in range(1, m + 1)) if cycle else None,
-        )
+        return DigitSpec(order=order, head=head, cycle=cycle)
     except ValueError as exc:
         raise ParseError(f"invalid digit data: {exc}") from None
-    return DigitFile(spec=spec, terminated_at=terminated_at, meta=meta)
 
 
 def _once(seen: bool, key: str) -> None:
     if seen:  # a second line for one key would make the file mean two things
         raise ParseError(f"duplicate digit-file key {key!r}")
-
-
-def _seq_index(key: str) -> int:
-    inner = key[key.index("[") + 1 : -1]
-    return _parse_int(inner, "sequence index")
 
 
 def _parse_int(text: str, label: str) -> int:
@@ -292,11 +289,4 @@ def parse_inline_digits(text: str) -> DigitSpec:
     has_cycle = [c is not None for c in cycles]
     if any(has_cycle) and not all(has_cycle):
         raise ParseError("either every sequence has a cycle or none does")
-    try:
-        return DigitSpec(
-            order=len(heads),
-            head=tuple(heads),
-            cycle=tuple(cycles) if all(has_cycle) else None,  # type: ignore[arg-type]
-        )
-    except ValueError as exc:
-        raise ParseError(f"invalid digit data: {exc}") from None
+    return _digit_spec(len(heads), tuple(heads), tuple(cycles) if all(has_cycle) else None)

@@ -382,6 +382,9 @@ ALG_SQRT2 = "alg:poly=-2,0,1;elem=0,1;lo={};hi={}"
         (["expand", ALG_SQRT2.format(2, 2)], 4, "empty interval [2, 2]"),
         (["convergents", "--inline", "1(2/3"], 2, "malformed cycle in '1(2'"),
         (["expand", "dec:1.5,guard=x"], 2, "guard must be an integer, got 'x'"),
+        (["expand", "alg:poly=-2,0,1;elem=0,1;lo=1;hi=2;guard=3;deg=7", "--depth", "3"], 2,
+         "unknown alg field 'guard'"),
+        (["period", "alg:poly=-2,0,1;deg=2;elem=0,1;lo=1;hi=2"], 2, "unknown alg field 'deg'"),
     ],
 )
 def test_refusals_exit_with_their_code(capsys, argv, code, message):

@@ -365,6 +365,47 @@ def test_tree_unit_beta_depth1():
     )
 
 
+def tree_value(lines: list[str]) -> Fraction:
+    """A rendered (sub)tree read by its legend: p with (up: q, dn: r) is p + q/r.
+    Every branch line and its continuation lines carry a 7-character prefix."""
+    if len(lines) == 1:
+        return Fraction(int(lines[0]))
+    dn = next(i for i, line in enumerate(lines) if line.startswith("`- dn: "))
+    up_value = tree_value([line[7:] for line in lines[1:dn]])
+    return int(lines[0]) + up_value / tree_value([line[7:] for line in lines[dn:]])
+
+
+def random_order2_spec(rng: random.Random, cyclic: bool) -> DigitSpec:
+    """Digits 0-4; first-sequence digits past index 0 of the head are >= 1."""
+    head_len = rng.randint(0, 3) if cyclic else 7
+    head = ([rng.randint(int(i > 0), 4) for i in range(head_len)],
+            [rng.randint(0, 4) for _ in range(head_len)])
+    cycle_len = rng.randint(1, 3)
+    cycle = ([rng.randint(1, 4) for _ in range(cycle_len)],
+             [rng.randint(0, 4) for _ in range(cycle_len)])
+    return DigitSpec(2, tuple(map(tuple, head)), tuple(map(tuple, cycle)) if cyclic else None)
+
+
+def test_tree_read_by_its_legend_is_the_convergent():
+    # The paper's two-branch tree against the forward recurrence: the alpha
+    # tree at depth n is the first convergent component, the beta tree the second.
+    rng = random.Random(29)
+    cases = 0
+    for trial in range(400):
+        spec = random_order2_spec(rng, cyclic=trial % 2 == 0)
+        for depth in range(7):
+            value = convergent(spec, depth)
+            for k, which in enumerate(("alpha", "beta")):
+                header, legend, *body = render_tree(spec, depth, which).splitlines()
+                assert (header, legend) == (
+                    f"{which} tree, depth {depth}",
+                    "node p with branches (up: q, dn: r) stands for p + q/r",
+                )
+                assert tree_value(body) == value[k], (spec, depth, which)
+                cases += 1
+    assert cases == 5600
+
+
 # -- expansion round trip ----------------------------------------------------------
 
 

@@ -73,6 +73,10 @@ def test_value_spec_round_trip_is_canonical():
         "dec:42",
         "alg:poly=-1,-1,-1,1;elem=0,1;lo=1;hi=2",
         "alg:poly=-2,0,1;elem=1/2,-1/3;lo=1;hi=3/2",
+        "dec:-0.05,guard=1",
+        "dec:0.000,guard=1",
+        "dec:-7,guard=3",
+        "dec:12.340,guard=3",
     ):
         value = parse_value_spec(text)
         canon = format_value_spec(value)

@@ -50,6 +50,34 @@ def test_every_module_uses_what_it_imports():
     assert unused == []
 
 
+def test_every_private_name_is_used():
+    # A private module-level function, class or assignment, or a private
+    # method, that nothing in bcf loads is dead code left behind by a refactor.
+    defined, loaded = {}, set()
+    for path in sorted(Path(bcf.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        methods = [node for c in tree.body if isinstance(c, ast.ClassDef)
+                   for node in c.body if isinstance(node, ast.FunctionDef)]
+        for node in [*tree.body, *methods]:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    assert sorted(f"{where} {name}" for name, where in defined.items()
+                  if name not in loaded) == []
+
+
 def leaf_errors():
     classes = [c for c in vars(errors).values()
                if isinstance(c, type) and c.__module__ == errors.__name__]

@@ -54,6 +54,10 @@ def digit_file(*lines):
                      ParseError, "meta line needs key=value: 'meta: x'", id="file-meta"),
         pytest.param(lambda: loads_digit_file(digit_file("m: 1", "head[1]: 1", "cycle[2]: 1")),
                      ParseError, "expected cycle[1..1] lines, got [2]", id="file-cycles"),
+        pytest.param(lambda: loads_digit_file(digit_file(f"m: {10**15}", "head[1]: 1 2")),
+                     ParseError, f"expected head[1..{10**15}] lines, got [1]", id="file-m-1e15"),
+        pytest.param(lambda: loads_digit_file(digit_file(f"m: {10**100}", "head[1]: 1 2")),
+                     ParseError, f"expected head[1..{10**100}] lines, got [1]", id="file-m-1e100"),
         pytest.param(lambda: parse_inline_digits("1/2 3"), ParseError,
                      "invalid digit data: head sequences must share one length", id="inline"),
         pytest.param(lambda: NumberField(SQRT2.modulus, 2, 1), NonIsolatingInterval,
