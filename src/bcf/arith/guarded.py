@@ -21,7 +21,7 @@ from math import floor
 
 from ..errors import AmbiguousFloor
 
-_LITERAL_RE = re.compile(r"^[+-]?[0-9]+(\.[0-9]+)?$")
+_LITERAL_RE = re.compile(r"([+-]?[0-9]+)(?:\.([0-9]+))?")  # signed integer part, fraction digits
 
 
 class GuardedDecimal:
@@ -46,16 +46,11 @@ class GuardedDecimal:
 
     @classmethod
     def from_literal(cls, text: str, guard_digits: int = 1) -> "GuardedDecimal":
-        if not _LITERAL_RE.match(text):
+        match = _LITERAL_RE.fullmatch(text)
+        if not match:
             raise ValueError(f"not a decimal literal: {text!r}")
-        sign = -1 if text.startswith("-") else 1
-        body = text.lstrip("+-")
-        if "." in body:
-            intpart, fracpart = body.split(".")
-        else:
-            intpart, fracpart = body, ""
-        mantissa = sign * int(intpart + fracpart or "0")
-        return cls.from_parts(mantissa, len(fracpart), guard_digits)
+        intpart, fracpart = match.groups("")
+        return cls.from_parts(int(intpart + fracpart), len(fracpart), guard_digits)
 
     def bounds(self) -> tuple[Fraction, Fraction]:
         return self.value - self.radius, self.value + self.radius

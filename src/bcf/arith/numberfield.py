@@ -310,10 +310,6 @@ class FieldElement:
 
     # -- structure ---------------------------------------------------------
 
-    def _check_field(self, other: "FieldElement"):
-        if self.field != other.field:
-            raise MixedFields(f"cannot combine {self.field!r} with {other.field!r}")
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
@@ -338,7 +334,8 @@ class FieldElement:
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
-            self._check_field(other)
+            if self.field != other.field:
+                raise MixedFields(f"cannot combine {self.field!r} with {other.field!r}")
             return other
         if isinstance(other, (int, Fraction)):
             return self.field.element([other])

@@ -58,7 +58,7 @@ class IntPolynomial:
         v = homogeneous_eval(self.coeffs, x.numerator, x.denominator)
         return (v > 0) - (v < 0)
 
-    def pretty(self, var: str = "x") -> str:
+    def pretty(self) -> str:
         if self.is_zero:
             return "0"
         parts: list[str] = []
@@ -70,9 +70,9 @@ class IntPolynomial:
             if k == 0:
                 term = str(mag)
             elif k == 1:
-                term = var if mag == 1 else f"{mag}*{var}"
+                term = "x" if mag == 1 else f"{mag}*x"
             else:
-                term = f"{var}^{k}" if mag == 1 else f"{mag}*{var}^{k}"
+                term = f"x^{k}" if mag == 1 else f"{mag}*x^{k}"
             if not parts:
                 parts.append(term if c > 0 else f"-{term}")
             else:

@@ -28,7 +28,6 @@ from .formats import (
     decimal_ratio,
     decimal_string,
     dumps_digit_file,
-    format_fraction,
     format_ratio,
     format_value_spec,
     loads_digit_file,
@@ -314,12 +313,12 @@ def cmd_cubic_hunt(args):
     if args.format == "json":
         payload = {
             "height": args.height,
-            "tol": format_fraction(tol),
+            "tol": str(tol),
             "decimal_places": args.places,
             "candidates": [
                 {
                     "coefficients": [str(c) for c in h.coeffs],
-                    "residual": format_fraction(h.residual),
+                    "residual": str(h.residual),
                     "residual_decimal": decimal_string(h.residual, args.places),
                 }
                 for h in hits
@@ -331,7 +330,7 @@ def cmd_cubic_hunt(args):
             print("no candidates")
         for h in hits:
             coeffs = ",".join(str(c) for c in h.coeffs)
-            print(f"{coeffs}  residual={format_fraction(h.residual)}"
+            print(f"{coeffs}  residual={h.residual}"
                   f" ~ {decimal_string(h.residual, args.places)}")
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, gcd
+from math import gcd
 
 from .arith.polynomials import IntPolynomial
 from .errors import PrecisionTooLow
@@ -67,8 +67,9 @@ def cubic_hunt(
 ) -> list[CubicCandidate]:
     """All primitive integer cubics c3*x^3+c2*x^2+c1*x+c0 with c3 >= 1,
     |ci| <= height and |residual at value| < tol, sorted by residual.  The
-    search is exhaustive, tests residuals exactly on integers, and scans per
-    (c3, c2) only the c1 window that a hit provably needs.
+    search is exhaustive and exact on integers.  It scans per (c3, c2) only
+    the c1 window, and per c1 only the c0 band, that a hit provably needs, so
+    its work is bounded by height, whatever tol is.
 
     ``value_error`` is the caller's bound on |value - true|; it must
     undercut tol by three decimal digits or the hunt refuses (a residual
@@ -90,37 +91,36 @@ def cubic_hunt(
         )
 
     # With value = p/q, s = c3*p^3 + c2*p^2*q + c1*p*q^2 is q^3*(c3*x^3 + c2*x^2 + c1*x)
-    # and |s/q^3 + c0| < tol reads |s + c0*q^3| * tol.den < tol.num * q^3.
+    # and |s/q^3 + c0| < tol reads |s + c0*q^3| <= L = ceil(tol*q^3) - 1 on integers.
     p, q = value.numerator, value.denominator
     v3, v2, v1, qq = p * p * p, p * p * q, p * q * q, q * q * q
-    tn, td = tol.numerator, tol.denominator
-    span = floor(tol + Fraction(1, 2))  # c0 lies within span of -round(s/q^3)
-    # A hit needs |c0| <= height and |s/q^3 + c0| < tol, so |s|/q^3 < height + tol
-    # < height + span + 1/2, that is 2|s| < bound.  With s = t + c1*v1 that is an
-    # open c1 window around -t/v1; any c1 outside it leaves |s/q^3 + c0| > tol for
+    big, small = divmod(-(-tol.numerator * qq // tol.denominator) - 1, qq)  # L = big*q^3 + small
+    # A hit has |c0| <= height and |s + c0*q^3| <= L < (big + 1)*q^3, so |s| < bound.  With
+    # s = t + c1*v1 that is an open c1 window around -t/v1; any c1 outside it misses for
     # every |c0| <= height, so the window skips no hit.  v1 = 0 keeps every c1.
-    bound = (2 * (height + span) + 1) * qq
-    sign, d = (1, 2 * v1) if v1 >= 0 else (-1, -2 * v1)
-    # Along a c1 window s = r*q^3 + rem (0 <= rem < q^3) steps by v1 with one carry.
-    # Each c0 within span of -round(s/q^3) is k - r for a k in [-span - 1, span], and
-    # the exact test |s + c0*q^3| = |k*q^3 + rem| < tol*q^3 reads below_k < rem < above_k.
+    bound = (height + big + 1) * qq
+    sign, d = (1, v1) if v1 >= 0 else (-1, -v1)
+    # Along a c1 window s = r*q^3 + rem (0 <= rem < q^3) steps by v1 with one carry, and
+    # |s + c0*q^3| = |(c0 + r)*q^3 + rem| <= L exactly for c0 + r in the band
+    # [-big - (rem >= q^3 - small), big - (rem > small)], cut to |c0| <= height whatever
+    # tol is.  With big = 0 it is empty for small < rem < q^3 - small: skip that c1 at once.
     dr, drem = divmod(v1, qq)
-    limit = -(-tn * qq // td)
-    offsets = [(k, -limit - k * qq, limit - k * qq) for k in range(-span - 1, span + 1)]
+    near = qq - small
     found: list[CubicCandidate] = []
     for c3 in range(1, height + 1):
         for c2 in range(-height, height + 1):
             t = c3 * v3 + c2 * v2
-            u = 2 * sign * t
+            u = sign * t
             lo = max(-height, (-bound - u) // d + 1) if d else -height
             hi = min(height, -((u - bound) // d) - 1) if d else height
             r, rem = divmod(t + lo * v1, qq)
             for c1 in range(lo, hi + 1):
-                for k, below, above in offsets:
-                    c0 = k - r
-                    if below < rem < above and -height <= c0 <= height and gcd(c3, c2, c1, c0) == 1:
-                        residual = Fraction(abs(rem + k * qq), qq)
-                        found.append(CubicCandidate((c3, c2, c1, c0), residual))
+                if big or rem <= small or rem >= near:
+                    first = max(-height, -big - (rem >= near) - r)
+                    for c0 in range(first, min(height, big - (rem > small) - r) + 1):
+                        if gcd(c3, c2, c1, c0) == 1:
+                            residual = Fraction(abs(rem + (c0 + r) * qq), qq)
+                            found.append(CubicCandidate((c3, c2, c1, c0), residual))
                 r, rem = r + dr, rem + drem
                 if rem >= qq:
                     r, rem = r + 1, rem - qq

@@ -64,15 +64,11 @@ class DigitSpec:
                 )
 
     @property
-    def head_length(self) -> int:
-        return len(self.head[0])
-
-    @property
     def max_depth(self) -> int | None:
         """Deepest valid truncation index; None when a cycle extends forever."""
         if self.cycle is not None:
             return None
-        return self.head_length - 1
+        return len(self.head[0]) - 1
 
     def columns(self) -> Iterator[tuple[int, ...]]:
         """Digit tuples (a_1(i), ..., a_m(i)) for i = 0, 1, ...: the head,
@@ -119,7 +115,7 @@ def _check_depth(spec: DigitSpec, depth: int):
         raise ValueError("depth must be >= 0")
     if spec.max_depth is not None and depth > spec.max_depth:
         raise InsufficientDigits(
-            f"spec holds {spec.head_length} digits per sequence, need {depth + 1} "
+            f"spec holds {len(spec.head[0])} digits per sequence, need {depth + 1} "
             "and no cycle is present"
         )
 

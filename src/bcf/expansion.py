@@ -108,11 +108,6 @@ class Expansion:
     def is_terminated(self) -> bool:
         return self.terminated_at is not None
 
-    @property
-    def exact(self) -> bool:
-        """Whether the inputs were exact, so that a period is proven or absent."""
-        return self.start is not None
-
     @cached_property
     def states(self) -> tuple[ExpansionState, ...] | None:
         """``states[i]`` is the state that produced step i's digits, up to

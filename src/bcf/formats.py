@@ -54,10 +54,6 @@ def decimal_string(x: Fraction, places: int) -> str:
     return sign + decimal_ratio(abs(x.numerator), x.denominator, places, 10**places)
 
 
-def format_fraction(x: Fraction) -> str:
-    return format_ratio(x.numerator, x.denominator)
-
-
 def decimal_ratio(num: int, den: int, places: int, scale: int) -> str:
     """num/den (num >= 0, den >= 1) truncated at ``places`` digits; scale = 10**places."""
     if not places:
@@ -156,9 +152,9 @@ def format_value_spec(value: RealValue) -> str:
         return f"dec:{decimal_string(value.value, value.scale)},guard={value.guard_digits}"
     if isinstance(value, FieldElement):
         poly = ",".join(str(c) for c in value.field.modulus.coeffs)
-        elem = ",".join(format_fraction(c) for c in value.coords)
+        elem = ",".join(map(str, value.coords))
         lo, hi = value.field.root_interval
-        return f"alg:poly={poly};elem={elem};lo={format_fraction(lo)};hi={format_fraction(hi)}"
+        return f"alg:poly={poly};elem={elem};lo={lo};hi={hi}"
     raise TypeError(f"not a real value: {value!r}")
 
 

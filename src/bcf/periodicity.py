@@ -64,6 +64,6 @@ def period_report(exp: Expansion) -> PeriodReport:
     if exp.recurrence is not None:
         i, j = exp.recurrence
         return PeriodReport(PROVEN, preperiod=i, period=j - i, witness=exp.recurrence)
-    if exp.exact:
+    if exp.start is not None:  # exact inputs: a period is proven or absent
         return PeriodReport(NONE_WITHIN_DEPTH, 0, 0, None)
     return apparent_digit_period(exp.digits)

@@ -46,6 +46,12 @@ CASES = [
     (["tree", "--inline", "(1)/(1)", "--depth", "2"], "tree_unit_alpha_d2.txt"),
     (["tree", "--inline", "(1)/(0)", "--depth", "2"], "tree_moore_alpha_d2.txt"),
     (["tree", "--inline", "(1)/(1)", "--depth", "1", "--which", "beta"], "tree_unit_beta_d1.txt"),
+    # A negative value and a tolerance above 1: several c0 per c1, fraction residuals.
+    (["cubic-hunt", "--value", "rat:-7/3", "--height", "2", "--tol", "5/2", "--places", "3"],
+     "cubic_hunt_neg73_tol52_p3.txt"),
+    # The meta line echoes a fraction coordinate of the element.
+    (["expand", "alg:poly=-2,0,1;elem=1/2,3;lo=1;hi=3/2", "--depth", "5", "--verbose"],
+     "expand_alg_fraction_elem_verbose.txt"),
 ]
 
 

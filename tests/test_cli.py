@@ -385,6 +385,8 @@ ALG_SQRT2 = "alg:poly=-2,0,1;elem=0,1;lo={};hi={}"
         (["expand", "alg:poly=-2,0,1;elem=0,1;lo=1;hi=2;guard=3;deg=7", "--depth", "3"], 2,
          "unknown alg field 'guard'"),
         (["period", "alg:poly=-2,0,1;deg=2;elem=0,1;lo=1;hi=2"], 2, "unknown alg field 'deg'"),
+        (["cubic-hunt", "--value", "dec:1.839286755214161\n,guard=3", "--height", "3", "--tol",
+          "1e-9"], 2, "not a decimal literal: '1.839286755214161\\n'"),
     ],
 )
 def test_refusals_exit_with_their_code(capsys, argv, code, message):

@@ -187,6 +187,9 @@ hunt_values = st.one_of(
 )
 hunt_tols = st.one_of(
     st.sampled_from([tol(9), tol(3), Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(7, 4)]),
+    # Tolerances far above height: the hunt's work must not grow with them.
+    st.sampled_from([Fraction(10), Fraction(1000), Fraction(10**6), Fraction(21, 2),
+                     Fraction(2001, 2), Fraction(3 * 10**6 + 1, 3)]),
     st.fractions(min_value=Fraction(1, 100), max_value=3, max_denominator=100),
 )
 
@@ -195,3 +198,9 @@ hunt_tols = st.one_of(
 @given(hunt_values, st.integers(1, 4), hunt_tols)
 def test_cubic_hunt_matches_brute_force_property(value, height, t):
     assert cubic_hunt(value, height, t) == cubic_oracle(value, height, t)
+
+
+def test_cubic_hunt_at_a_huge_tolerance_is_bounded_by_height():
+    hits = cubic_hunt(Fraction(3, 2), 2, 10**12)
+    assert len(hits) == 223
+    assert hits == cubic_oracle(Fraction(3, 2), 2, 10**12)

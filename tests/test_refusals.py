@@ -80,6 +80,9 @@ def digit_file(*lines):
                      "polynomial division by zero", id="poly-divide"),
         pytest.param(lambda: GuardedDecimal(1, 0), ValueError, "guard radius must be positive",
                      id="guard-radius"),
+        # re's $ also matches before a trailing newline; the literal must be the whole text.
+        pytest.param(lambda: GuardedDecimal.from_literal("1.5\n"), ValueError,
+                     "not a decimal literal: '1.5\\n'", id="dec-literal-newline"),
         pytest.param(lambda: expand([SQRT2.theta(), Fraction(1, 2)], 3), MixedFields,
                      "all expansion inputs must share one backend (and one field); got "
                      "NumberField(x^2 - 2, root in (1, 2)), rational", id="expand-field-rational"),
