@@ -23,8 +23,12 @@ cannot certify raises that step's typed refusal.  The backends differ only
 in what a row is, how its floor is certified, and how a run loops:
 
 - a rational row is one integer, D the common denominator; its floor is
-  integer division.  Order 1 is Euclid's algorithm, a bare ``divmod`` loop
-  to termination;
+  integer division.  Order 1 is Euclid's algorithm to termination, taken
+  in Lehmer's chunks (``_euclid``): Euclid on the top bits of the pair,
+  with the cofactors packed into its low bits so that one small ``divmod``
+  steps them too, gives dozens of quotients at a time.  The cofactors
+  applied to the full pair prove them, as a continued fraction whose
+  complete quotient exceeds 1 is unique, or the run takes one plain step;
 - a number-field row is a vector of integer power-basis coordinates, and
   a step's floors are one ``NumberField.ratio_floors`` call.  The run steps
   the enclosures at theta that the call returns with the rows, as v_k - a*v_0
@@ -261,18 +265,73 @@ def _field_run(field: NumberField, rows, step: int, limit: int):
     return out, rows, None
 
 
+# A chunk reads the top _K bits of p, packs each cofactor into a _W-bit field
+# and keeps no packed remainder below _FLOOR.
+_K = 200
+_W = _K // 2 + 4
+_HALF, _MASK = 1 << (_W - 1), (1 << _W) - 1
+_FLOOR = 1 << (2 * _W + _K // 2 + 2)
+
+
 def _euclid(rows, limit: int):
     """Up to ``limit`` quotients of order-1 rational rows ((v_0,), (v_1,)),
-    v_1 >= 0, by Euclid's algorithm, ending at remainder 0."""
+    v_1 >= 0, by Euclid's algorithm, ending at remainder 0.
+
+    It is Lehmer's Euclid (Amer. Math. Monthly 45, 1938) with the cofactors
+    packed into the numbers.  One plain ``divmod`` on the full pair takes the
+    first quotient (which may be 0), the one after a refused chunk, and
+    every one once q is down to 2*_K bits.  After it p > q, and while q is
+    longer, each ``_chunk`` takes the next quotients from the top _K bits
+    of p and q at one shift s.  It runs Euclid on the truncated pair packed
+    with the identity matrix, R_0 = (p >> s)*2^(2W) + 2^W > R_1 = (q >> s)*
+    2^(2W) + 1: every remainder u*R_0 + v*R_1 is then x*2^(2W) + u*2^W + v,
+    so one small ``divmod`` per quotient steps the cofactors (u, v) too, and
+    every quotient a_i is >= 1.  It keeps no remainder below 2^(2W + _K/2 +
+    2), so Euclid's bound |u|, |v| <= R_0/r_(i-1) holds every cofactor under
+    2^(_K/2 - 2), well inside its W-bit field, and the signed fields of the
+    last two remainders are exactly (u_0, v_0) and (u_1, v_1).  Then p' =
+    u_0*p + v_0*q and q' = u_1*p + v_1*q satisfy p/q = [a_1; ..., a_k,
+    p'/q'] exactly, and the chunk is kept only if p' > q' > 0.  That complete
+    quotient then exceeds 1, and a continued fraction with such a tail is
+    unique: the a_i are Euclid's next quotients of p/q and (q', p') its
+    rows.  Truncation makes the a_i wrong now and then; the test refuses
+    them, and the run takes one plain step."""
     (q,), (p,) = rows
     out = []
-    for _ in range(limit):
+    while len(out) < limit:
         a, r = divmod(p, q)
         out.append((a,))
         p, q = q, r
         if not r:
             break
+        while len(out) < limit and q.bit_length() > 2 * _K:
+            chunk = _chunk(p, q, limit - len(out))
+            if chunk is None:
+                break
+            quotients, p, q = chunk
+            out += quotients
     return out, ((q,), (p,))
+
+
+def _chunk(p: int, q: int, room: int):
+    """(quotients, p', q'): up to ``room`` of Euclid's next quotients of
+    p > q > 0, read off the top _K bits of p, and the pair after them; None
+    unless the full pair proves at least one (see ``_euclid``)."""
+    s = p.bit_length() - _K
+    r0, r1 = (p >> s << 2 * _W) + (1 << _W), (q >> s << 2 * _W) + 1
+    out = []
+    for _ in range(room):
+        a, r = divmod(r0, r1)
+        if r < _FLOOR:
+            break
+        out.append((a,))
+        r0, r1 = r1, r
+    bias = (_HALF << _W) + _HALF  # makes both signed fields unsigned
+    (u0, v0), (u1, v1) = [
+        ((t >> _W & _MASK) - _HALF, (t & _MASK) - _HALF) for t in (r0 + bias, r1 + bias)
+    ]
+    p, q = u0 * p + v0 * q, u1 * p + v1 * q
+    return (out, p, q) if out and p > q > 0 else None
 
 
 def _box_forms(box) -> tuple[tuple[int, ...], ...]:

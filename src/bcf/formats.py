@@ -26,6 +26,7 @@ file and saving it again is byte-identical::
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -36,13 +37,20 @@ from .errors import ParseError
 from .evaluation import DigitSpec
 
 DIGIT_FILE_HEADER = "bcf-digits v1"
+# What Fraction(str) reads on Python 3.10, in ASCII digits: later versions
+# also take underscores (3.11) and spaces around '/' (3.12).
+_RATIONAL_RE = re.compile(r"[+-]?(?=\.?[0-9])[0-9]*(?:/[0-9]+|(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?)")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Exact rational from 'p/q', integer, decimal, or exponent notation."""
+    """Exact rational from 'p/q', integer, decimal, or exponent notation in
+    ASCII digits, with optional outer whitespace."""
+    body = text.strip()
+    if not _RATIONAL_RE.fullmatch(body):
+        raise ParseError(f"not a rational: {text!r}")
     try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
+        return Fraction(body)
+    except ZeroDivisionError as exc:
         raise ParseError(f"not a rational: {text!r} ({exc})") from None
 
 

@@ -25,6 +25,10 @@ CASES = [
     (["expand", "rat:7/4"], "expand_rat74.txt"),
     # A 200-digit rational that terminates at step 377.
     (["expand", f"rat:{3**420 + 7}/{2**660 + 1}", "--depth", "1000"], "expand_rat_euclid.txt"),
+    # A 2000-digit rational cut at depth 3000 inside a chunk of Euclid's quotients
+    # read off the top bits, after a chunk refused at quotient 2305.
+    (["expand", f"rat:{5**2860 + 5}/{3**4000 + 2}", "--depth", "3000", "--format", "json"],
+     "expand_rat_deep_cut_json.json"),
     # 50 trusted digits of sqrt(2) certify all 60 tuples asked for.
     (["expand", "dec:1.41421356237309504880168872420969807856967187537694,guard=2",
       "--depth", "60"], "expand_dec_sqrt2.txt"),

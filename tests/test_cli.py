@@ -387,6 +387,12 @@ ALG_SQRT2 = "alg:poly=-2,0,1;elem=0,1;lo={};hi={}"
         (["period", "alg:poly=-2,0,1;deg=2;elem=0,1;lo=1;hi=2"], 2, "unknown alg field 'deg'"),
         (["cubic-hunt", "--value", "dec:1.839286755214161\n,guard=3", "--height", "3", "--tol",
           "1e-9"], 2, "not a decimal literal: '1.839286755214161\\n'"),
+        # One ASCII rational grammar on every Python version.
+        (["expand", "rat:1_000/3", "--depth", "2"], 2, "not a rational: '1_000/3'"),
+        (["expand", "rat:3 / 2", "--depth", "2"], 2, "not a rational: '3 / 2'"),
+        (["expand", "rat:\uff11/3"], 2, "not a rational: '\uff11/3'"),
+        (["expand", "alg:poly=-2,0,1;elem=1_0,1;lo=1;hi=2"], 2, "not a rational: '1_0'"),
+        (["cubic-hunt", "--value", "rat:3/2", "--tol", "1_0"], 2, "not a rational: '1_0'"),
     ],
 )
 def test_refusals_exit_with_their_code(capsys, argv, code, message):

@@ -433,6 +433,10 @@ def test_order1_runs_match_a_chain_of_steps(value, depth):
 @example(0, 1)
 @example(10**40, 1)
 @example(-1, 10**30)
+@example(7**360 + 168, 5**430 + 1)  # 1000 bits, one chunk refused
+@example(2**2000 + 1, 3**1262)
+@example(5**2860 + 5, 3**4000 + 2)
+@example(11**2310 + 1, 3**5040 + 7)  # 8000 bits
 def test_order1_rationals_match_the_divmod_oracle(p, q):
     if p < 0:
         with pytest.raises(NegativeInput, match="component 1 at step 0 has negative floor"):
@@ -441,6 +445,83 @@ def test_order1_rationals_match_the_divmod_oracle(p, q):
     e = expand([Fraction(p, q)], 10**4)
     assert list(e.digits[0]) == classic_cf(p, q)
     assert e.terminated_at == len(e) - 1
+
+
+def plain_euclid(rows, limit):
+    """Up to ``limit`` Euclid steps on ((q,), (p,)), one full ``divmod`` each."""
+    (q,), (p,) = rows
+    out = []
+    while len(out) < limit:
+        a, r = divmod(p, q)
+        out.append((a,))
+        p, q = q, r
+        if not r:
+            break
+    return out, ((q,), (p,))
+
+
+@st.composite
+def euclid_rows(draw):
+    """Rows ((q,), (p,)) with q of 1-3000 bits (q = 1 at 1 bit), often within 8
+    bits of where chunks start, and p below q, a multiple of q or far above it;
+    a common factor of up to 1500 bits makes Euclid end while q is long."""
+    edge = 2 * expansion._K
+    bits = draw(st.one_of(st.integers(edge - 8, edge + 8), st.integers(1, 3000)))
+    q = draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+    p = draw(st.one_of(
+        st.integers(0, 4 * q),
+        st.integers(0, q - 1),
+        st.integers(0, 1 << 64).map(lambda k: k * q),
+        st.integers(0, 1 << 3000),
+    ))
+    g = draw(st.one_of(st.just(1), st.integers(1, 1 << 1500)))
+    return ((q * g,), (p * g,))
+
+
+@settings(max_examples=60, deadline=None)
+@given(euclid_rows())
+@example(((1,), (5,)))
+@example(((7,), (7 << 900,)))
+@example(((3**500,), (2**700,)))
+@example(((5**430 + 1,), (7**360 + 168,)))  # see test_a_refused_chunk_keeps_the_quotients_exact
+def test_euclid_matches_a_plain_divmod_loop_at_every_limit(rows):
+    full = plain_euclid(rows, 10**6)
+    for limit in range(1, len(full[0]) + 2):
+        assert expansion._euclid(rows, limit) == plain_euclid(rows, limit), limit
+
+
+def test_a_refused_chunk_keeps_the_quotients_exact(monkeypatch):
+    # Read off the top bits, the chunk at quotient 379 of this pair goes
+    # wrong; only the check on the full numbers keeps it out.
+    p, q = 7**360 + 168, 5**430 + 1
+    chunk, refused = expansion._chunk, []
+
+    def watched(*args):
+        out = chunk(*args)
+        refused.append(out is None)
+        return out
+
+    monkeypatch.setattr(expansion, "_chunk", watched)
+    assert list(expand([Fraction(p, q)], 10**4).digits[0]) == classic_cf(p, q)
+    assert any(refused)
+
+
+def test_a_deep_rational_divides_the_full_numbers_a_few_times(monkeypatch):
+    # A 7300-bit rational like the benchmark's takes ~4300 quotients; one
+    # divmod each divides the full numbers some 3800 times past 800 bits.
+    # The packed pairs a chunk divides have at most 2*_K + 8 bits.
+    rng = random.Random(7300)
+    q = rng.randint(10**2199, 10**2200 - 1)
+    p = rng.randint(1, 3 * q)
+    long_divisions = []
+
+    def counting(a, b):
+        long_divisions.append(b.bit_length() > 4 * expansion._K)
+        return divmod(a, b)
+
+    monkeypatch.setitem(vars(expansion), "divmod", counting)
+    assert list(expand([Fraction(p, q)], 10**5).digits[0]) == classic_cf(p, q)
+    assert sum(long_divisions) <= 20
 
 
 @st.composite

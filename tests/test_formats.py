@@ -2,6 +2,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from bcf.arith import GuardedDecimal
 from bcf.arith.numberfield import FieldElement
@@ -29,6 +31,32 @@ def test_parse_rational_forms():
         parse_rational("x")
     with pytest.raises(ParseError):
         parse_rational("1/0")
+
+
+# Fraction's string grammar as Python 3.10 wrote it, cut to ASCII digits:
+# the grammar parse_rational keeps on every version.
+FRACTION_310 = re.compile(r"""
+    \A\s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>\d*)
+    (?:(?:/(?P<denom>\d+))?|(?:\.(?P<decimal>\d*))?(?:E(?P<exp>[-+]?\d+))?)\s*\Z
+""", re.VERBOSE | re.IGNORECASE | re.ASCII)
+
+
+@given(st.text("0123456789+-./eE _", max_size=12))
+@example("1_000/3")
+@example("3 / 2")
+@example(" -.5e+1 ")
+@example("+7/0")
+def test_parse_rational_keeps_the_310_grammar(text):
+    match = FRACTION_310.match(text)
+    assume(match is None or len(match["exp"] or "") < 5)  # 10**exp stays small
+    if match is None:
+        with pytest.raises(ParseError, match=f"^not a rational: {re.escape(repr(text))}$"):
+            parse_rational(text)
+    elif match["denom"] and not int(match["denom"]):
+        with pytest.raises(ParseError, match=r"^not a rational: .* \(Fraction\("):
+            parse_rational(text)
+    else:
+        assert parse_rational(text) == Fraction(text.strip())
 
 
 def test_decimal_string_truncates():

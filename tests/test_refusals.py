@@ -13,7 +13,9 @@ from bcf.closedform import allones_poly, cubic_hunt
 from bcf.errors import MixedFields, NonIsolatingInterval, ParseError, ZeroInverse
 from bcf.evaluation import DigitSpec, reconstruct, render_tree, unroll
 from bcf.expansion import expand
-from bcf.formats import decimal_string, format_value_spec, loads_digit_file, parse_inline_digits
+from bcf.formats import (
+    decimal_string, format_value_spec, loads_digit_file, parse_inline_digits, parse_value_spec,
+)
 from bcf.periodicity import NONE_WITHIN_DEPTH, PeriodReport, apparent_digit_period
 
 SQRT2 = NumberField(IntPolynomial((-2, 0, 1)), 1, 2)
@@ -83,6 +85,15 @@ def digit_file(*lines):
         # re's $ also matches before a trailing newline; the literal must be the whole text.
         pytest.param(lambda: GuardedDecimal.from_literal("1.5\n"), ValueError,
                      "not a decimal literal: '1.5\\n'", id="dec-literal-newline"),
+        # Fraction(str) reads each of these on some Python version; parse_rational on none.
+        pytest.param(lambda: parse_value_spec("rat:1_000/3"), ParseError,
+                     "not a rational: '1_000/3'", id="rational-underscore"),
+        pytest.param(lambda: parse_value_spec("rat:3 / 2"), ParseError,
+                     "not a rational: '3 / 2'", id="rational-inner-spaces"),
+        pytest.param(lambda: parse_value_spec("rat:\uff11/3"), ParseError,
+                     "not a rational: '\uff11/3'", id="rational-fullwidth-digit"),
+        pytest.param(lambda: parse_value_spec("alg:poly=-2,0,1;elem=1_0,1;lo=1;hi=2"), ParseError,
+                     "not a rational: '1_0'", id="alg-elem-underscore"),
         pytest.param(lambda: expand([SQRT2.theta(), Fraction(1, 2)], 3), MixedFields,
                      "all expansion inputs must share one backend (and one field); got "
                      "NumberField(x^2 - 2, root in (1, 2)), rational", id="expand-field-rational"),
